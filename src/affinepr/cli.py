@@ -16,7 +16,9 @@ from .harness import (
     ImpossibilityReport,
     _bias_for,
     _cell_to_json,
+    _write_text,
     load_instance,
+    phase_grid_csv,
     run_impossibility_demo,
     run_lemma_suite,
     run_noise_curve,
@@ -24,7 +26,6 @@ from .harness import (
     run_ripmap,
     run_srip,
     save_instance,
-    write_phase_grid_csv,
 )
 from .model import REAL
 from .rng import SeedSpec, make_instance
@@ -34,8 +35,7 @@ from .solver import solve_affine_pr_complex, solve_affine_pr_real
 def _dump_json(obj, path: str | None):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -109,7 +109,7 @@ def _cmd_phase_grid(args) -> int:
     if args.format == "json":
         _dump_json([_cell_to_json(c) for c in cells], out or None)
     elif not out:
-        write_phase_grid_csv("/dev/stdout", cells)
+        sys.stdout.write(phase_grid_csv(cells))
     return 0
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import statistics
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, fields
@@ -293,28 +294,35 @@ class _ResumeWriter:
                 os.remove(self.path)
 
 
-def _run_cells(config: ExperimentConfig, keys: list, threads: int = 1, fail_after: int | None = None):
+def _run_cells(config: ExperimentConfig, keys: list, threads: int = 1):
     """Run (m, k, eps) cells, resumably; returns cells in key order."""
     digest = config.digest()
     done = _load_resume(config.output_path, digest) if config.output_path else {}
     writer = _ResumeWriter(config.output_path, digest, done)
     pending = [key for key in keys if key not in done]
-    if fail_after is not None:
-        pending = pending[:fail_after]
+    lock = threading.Lock()
+
+    def run_and_record(key):
+        # Each cell is recorded as it finishes, so an interrupt keeps it.
+        cell = run_cell(config, *key)[0]
+        with lock:
+            done[key] = cell
+            writer.record(key, cell)
+
     try:
         if threads > 1 and len(pending) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(lambda key: run_cell(config, *key)[0], pending)
-                )
+                futures = [pool.submit(run_and_record, key) for key in pending]
+                try:
+                    for future in futures:
+                        future.result()
+                except BaseException:
+                    # Let running cells finish and record; start no new ones.
+                    pool.shutdown(cancel_futures=True)
+                    raise
         else:
-            results = [run_cell(config, *key)[0] for key in pending]
-        for key, cell in zip(pending, results):
-            done[key] = cell
-            writer.record(key, cell)
-        if fail_after is not None:
-            writer.close(success=False)
-            raise InterruptedError("stopped early for resumability testing")
+            for key in pending:
+                run_and_record(key)
     except BaseException:
         writer.close(success=False)
         raise
@@ -322,23 +330,23 @@ def _run_cells(config: ExperimentConfig, keys: list, threads: int = 1, fail_afte
     return [done[key] for key in keys]
 
 
-def run_phase_grid(
-    config: ExperimentConfig, threads: int = 1, fail_after: int | None = None
-) -> list[CellResult]:
+def run_phase_grid(config: ExperimentConfig, threads: int = 1) -> list[CellResult]:
     """Noiseless success-probability grid over (m, k) cells."""
     config.validate()
     keys = [(m, k, 0.0) for m in config.m_list for k in config.k_list]
-    cells = _run_cells(config, keys, threads=threads, fail_after=fail_after)
+    cells = _run_cells(config, keys, threads=threads)
     if config.output_path:
         write_phase_grid_csv(config.output_path, cells)
     return cells
 
 
+def phase_grid_csv(cells: list[CellResult]) -> str:
+    lines = [PHASE_GRID_HEADER] + [_grid_row(cell, f"{cell.m},{cell.k}") for cell in cells]
+    return "\n".join(lines) + "\n"
+
+
 def write_phase_grid_csv(path: str, cells: list[CellResult]) -> None:
-    lines = [PHASE_GRID_HEADER]
-    for cell in cells:
-        lines.append(_grid_row(cell, f"{cell.m},{cell.k}"))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, phase_grid_csv(cells))
 
 
 @dataclass
@@ -557,8 +565,17 @@ def run_lemma_suite(config: ExperimentConfig) -> dict:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Replace ``path`` atomically: readers see the old file or the new one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _array_payload(arr: np.ndarray):

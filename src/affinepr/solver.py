@@ -5,9 +5,14 @@ The inner problem is basis pursuit denoising,
 
     min ||x||_1  s.t.  ||D x - c||_2 <= eps,
 
-solved by ADMM on the splitting x = z, D x = r with an exact x-update
-(the normal-equation factor is penalty-independent, so the self-adaptive
-penalty costs nothing).  The outer loops exploit the identity
+solved by ADMM on the splitting x = z, D x = r.  A solve computes one thin
+SVD A = U S V^H and every inner call reuses it.  With eps = 0 and
+rank(A) = n the feasible set is a single point or empty, so the call returns
+A^+ c with no ADMM.  Otherwise the exact x-update (I + D^H D)^-1 is one
+matrix-vector product with I - V diag(s^2/(1 + s^2)) V^H, or I - V V^H/2
+once a consistent eps = 0 system is whitened to the rows V^H; it does not
+depend on the penalty, so the self-adaptive penalty costs nothing.  The
+outer loops exploit the identity
 
     ||diag(s)(A x + b) - y||_2 = ||A x - (s*y - b)||_2
 
@@ -28,11 +33,11 @@ solver finishes with a margin-guided single-sign-flip descent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import COMPLEX, REAL, MeasurementEnsemble, lifted_intensity
 from .rng import SeedSpec
@@ -122,30 +127,29 @@ def _polish_key(D, c, epsilon, feas_tol, v):
     return violation, float(np.sum(np.abs(v)))
 
 
-def _whiten_equality(D, c):
-    """Equivalent orthonormal-row system for the constraint D x = c.
+class _Svd(NamedTuple):
+    """Thin SVD D = U diag(s) Vh, restricted to the numerical rank."""
 
-    D x = c iff V^H x = S^-1 U^H c for the thin SVD D = U S V^H (restricted
-    to nonnegligible singular values), and ADMM's rate no longer depends on
-    cond(D).  Only valid for epsilon = 0; returns None when c has mass
-    outside the retained range (infeasible or near-deficient systems fall
-    back to the raw constraint).
-    """
-    try:
-        U, s, Vh = np.linalg.svd(D, full_matrices=False)
-    except np.linalg.LinAlgError:
-        return None
-    if s.size == 0 or s[0] == 0.0:
-        return None
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+
+
+def _thin_svd(D) -> _Svd:
+    U, s, Vh = np.linalg.svd(D, full_matrices=False)
     keep = s > 1e-12 * s[0]
-    proj = U[:, keep].conj().T @ c
-    dropped = c - U[:, keep] @ proj
-    if np.linalg.norm(dropped) > 1e-9 * (1.0 + np.linalg.norm(c)):
-        return None
-    return Vh[keep, :], proj / s[keep]
+    return _Svd(U[:, keep], s[keep], Vh[keep])
 
 
-def bpdn(D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None) -> BpdnResult:
+def _require_finite(**arrays) -> None:
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} has non-finite entries")
+
+
+def bpdn(
+    D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None, *, svd: _Svd | None = None
+) -> BpdnResult:
     """Approximate minimizer of min ||x||_1 s.t. ||D x - c||_2 <= epsilon.
 
     Returns the best iterate with a convergence flag; on nonunique optima
@@ -153,9 +157,13 @@ def bpdn(D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None) -
     objective value rather than the witness.  The ADMM iterate is polished
     by a least-squares refit on its support, kept only when it improves the
     (feasibility violation, objective) pair.
+
+    With epsilon = 0 and D of full column rank the result is D^+ c after
+    zero iterations, converged only if its residual is within 1e-9 (1 + ||c||).
+    ``svd`` is D's ``_thin_svd``, passed by callers that reuse one D.
     """
     opts = opts or SolverOptions()
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     D = np.asarray(D)
     c = np.asarray(c)
@@ -163,24 +171,33 @@ def bpdn(D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None) -
         raise ValueError("dimension mismatch between D and c")
     if np.iscomplexobj(c) and not np.iscomplexobj(D):
         raise ValueError("field mismatch between D and c")
+    _require_finite(D=D, c=c)
     m, n = D.shape
     cnorm = float(np.linalg.norm(c))
     if epsilon >= cnorm:
         # 0 is feasible and l1-minimal.
         return BpdnResult(np.zeros(n, dtype=D.dtype), 0, True, 0.0, 0.0)
 
+    U, s, Vh = svd if svd is not None else _thin_svd(D)
+    V = Vh.conj().T
+    feas_tol = 1e-9 * (1.0 + cnorm)
     D_orig, c_orig = D, c
+    gain = s**2 / (1.0 + s**2)  # (I + D^H D)^-1 = I - V diag(gain) V^H
     if epsilon == 0.0:
-        whitened = _whiten_equality(D, c)
-        if whitened is not None:
-            D, c = whitened
+        proj = U.conj().T @ c
+        if s.size == n:
+            x = V @ (proj / s)
+            primal = float(np.linalg.norm(D @ x - c))
+            return BpdnResult(x, 0, primal <= feas_tol, primal, 0.0)
+        if np.linalg.norm(c - U @ proj) <= feas_tol:
+            # D x = c iff V^H x = S^-1 U^H c, and ADMM's rate no longer
+            # depends on cond(D).  An inconsistent system keeps the raw rows.
+            D, c = Vh, proj / s
             m = D.shape[0]
+            gain = np.full(s.size, 0.5)
+    M = np.eye(n) - (V * gain) @ Vh
 
     Dh = D.conj().T
-    gram = Dh @ D
-    gram[np.diag_indices(n)] += 1.0
-    factor = cho_factor(gram)
-
     dtype = np.promote_types(D.dtype, c.dtype)
     x = np.zeros(n, dtype=dtype) if x_init is None else np.asarray(x_init, dtype=dtype).copy()
     z = x.copy()
@@ -194,7 +211,7 @@ def bpdn(D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None) -
     converged = False
     primal = dual = math.inf
     for it in range(1, opts.inner_max + 1):
-        x = cho_solve(factor, (z - u_z) + Dh @ (r - u_r))
+        x = M @ ((z - u_z) + Dh @ (r - u_r))
         Dx = D @ x
         z_old, r_old = z, r
         z = _soft_threshold(x + u_z, 1.0 / rho)
@@ -219,7 +236,6 @@ def bpdn(D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None) -
                 u_z *= 2.0
                 u_r *= 2.0
 
-    feas_tol = 1e-9 * (1.0 + cnorm)
     scale = float(np.max(np.abs(z))) if z.size else 0.0
     support = np.flatnonzero(np.abs(z) > 1e-12 * max(1.0, scale))
     if support.size:
@@ -254,15 +270,20 @@ def _unit_pattern(v: np.ndarray) -> np.ndarray:
 @dataclass
 class _RestartOutcome:
     xhat: np.ndarray
-    feasibility: float
-    objective: float
-    outer_iters: int
     inner_iters: int
     termination: str
-    trace: list
+    trace: list  # (objective, feasibility) of each accepted outer step
+
+    @property
+    def objective(self) -> float:
+        return self.trace[-1][0]
+
+    @property
+    def feasibility(self) -> float:
+        return self.trace[-1][1]
 
 
-def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts):
+def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts, svd: _Svd):
     """Proximal-gradient homotopy that forms the support and sign pattern.
 
     Runs ISTA steps on 0.5 ||A x - (u*y - b)||^2 + lam ||x||_1 while the
@@ -275,7 +296,7 @@ def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts):
     """
     m, n = A.shape
     Ah = A.conj().T
-    lip = float(np.linalg.norm(A, 2)) ** 2
+    lip = float(svd.s[0]) ** 2 if svd.s.size else 0.0
     if lip == 0.0:
         return np.zeros(n, dtype=A.dtype), u0
     step = 1.0 / lip
@@ -301,7 +322,7 @@ def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts):
     return x, _unit_pattern(A @ x + b)
 
 
-def _run_restart(A, b, epsilon, opts, u0, freeze_levels, feas_fn, y_target):
+def _run_restart(A, b, epsilon, opts, u0, freeze_levels, feas_fn, y_target, svd: _Svd):
     """Burn-in followed by the alternating constrained iteration.
 
     Regular outer steps use a capped inner budget (a wrong pattern in the
@@ -309,13 +330,8 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, feas_fn, y_target):
     a candidate fixed point is confirmed with a full-tolerance solve.
     """
     complex_field = np.iscomplexobj(A)
-    x, u = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts)
-    capped = SolverOptions(
-        inner_max=min(600, opts.inner_max),
-        inner_tol=opts.inner_tol,
-        restarts=1,
-        penalty=opts.penalty,
-    )
+    x, u = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts, svd)
+    capped = replace(opts, inner_max=min(600, opts.inner_max))
     inner_total = 0
     trace = []
     termination = "max_outer"
@@ -331,13 +347,13 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, feas_fn, y_target):
         return bool(np.array_equal(u_new, u_old))
 
     for _ in range(opts.outer_max):
-        res = bpdn(A, u * y_target - b, epsilon, capped, x_init=x)
+        res = bpdn(A, u * y_target - b, epsilon, capped, x_init=x, svd=svd)
         inner_total += res.iterations
         last_converged = res.converged
         x = res.x
         u_new = _unit_pattern(A @ x + b)
         if is_fixed(u_new, u):
-            res = bpdn(A, u * y_target - b, epsilon, opts, x_init=x)
+            res = bpdn(A, u * y_target - b, epsilon, opts, x_init=x, svd=svd)
             inner_total += res.iterations
             last_converged = res.converged
             x = res.x
@@ -363,15 +379,7 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, feas_fn, y_target):
                 break
     if not last_converged:
         termination = "infeasible_inner"
-    return _RestartOutcome(
-        xhat=x,
-        feasibility=trace[-1][1],
-        objective=trace[-1][0],
-        outer_iters=len(trace),
-        inner_iters=inner_total,
-        termination=termination,
-        trace=trace,
-    )
+    return _RestartOutcome(x, inner_total, termination, trace)
 
 
 def _violation(feas: float, epsilon: float, scale: float) -> float:
@@ -381,7 +389,7 @@ def _violation(feas: float, epsilon: float, scale: float) -> float:
     return max(feas - epsilon - 1e-8 * scale, 0.0)
 
 
-def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_fn):
+def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_fn, svd: _Svd):
     """Real-field local search: retry the lowest-margin sign flips.
 
     Probes run with a small iteration cap (a wrong flip in the
@@ -392,11 +400,8 @@ def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_
     if opts.flip_candidates == 0:
         return outcome
     scale = 1.0 + float(np.linalg.norm(y_target))
-    probe_opts = SolverOptions(
-        inner_max=min(300, opts.inner_max),
-        inner_tol=max(opts.inner_tol, 1e-7),
-        restarts=1,
-        penalty=opts.penalty,
+    probe_opts = replace(
+        opts, inner_max=min(300, opts.inner_max), inner_tol=max(opts.inner_tol, 1e-7)
     )
     x = outcome.xhat
     key = (_violation(outcome.feasibility, epsilon, scale), outcome.objective)
@@ -415,12 +420,12 @@ def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_
         tried += 1
         s_try = s.copy()
         s_try[j] = -s_try[j]
-        probe = bpdn(A, s_try * y_target - b, epsilon, probe_opts, x_init=x)
+        probe = bpdn(A, s_try * y_target - b, epsilon, probe_opts, x_init=x, svd=svd)
         inner += probe.iterations
         probe_key = (_violation(feas_fn(probe.x), epsilon, scale), probe.objective)
         if probe_key >= key:
             continue
-        res = bpdn(A, s_try * y_target - b, epsilon, opts, x_init=probe.x)
+        res = bpdn(A, s_try * y_target - b, epsilon, opts, x_init=probe.x, svd=svd)
         inner += res.iterations
         feas = feas_fn(res.x)
         cand_key = (_violation(feas, epsilon, scale), res.objective)
@@ -432,24 +437,9 @@ def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_
             order = np.argsort(np.abs(v))
             pos = 0
     if not improved:
-        return _RestartOutcome(
-            outcome.xhat,
-            outcome.feasibility,
-            outcome.objective,
-            outcome.outer_iters,
-            inner,
-            outcome.termination,
-            trace,
-        )
-    return _RestartOutcome(
-        xhat=x,
-        feasibility=trace[-1][1],
-        objective=trace[-1][0],
-        outer_iters=len(trace),
-        inner_iters=inner,
-        termination="sign_fixed_point" if key[0] == 0.0 else outcome.termination,
-        trace=trace,
-    )
+        return replace(outcome, inner_iters=inner)
+    termination = "sign_fixed_point" if key[0] == 0.0 else outcome.termination
+    return _RestartOutcome(x, inner, termination, trace)
 
 
 _FREEZE_LEVELS = 12  # homotopy levels a random restart keeps its pattern pinned
@@ -463,19 +453,8 @@ def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target):
     anchor = _unit_pattern(b)
     chains = [(anchor, 0, opts)]
     if opts.restarts >= 2:
-        slow = SolverOptions(
-            outer_max=opts.outer_max,
-            inner_max=opts.inner_max,
-            inner_tol=opts.inner_tol,
-            restarts=1,
-            penalty=opts.penalty,
-            success_tol=opts.success_tol,
-            mode=opts.mode,
-            restart_seed=opts.restart_seed,
-            homotopy_shrink=0.95,
-            homotopy_steps=max(opts.homotopy_steps, 10),
-            trust_ratio=3.0,
-            flip_candidates=opts.flip_candidates,
+        slow = replace(
+            opts, homotopy_shrink=0.95, homotopy_steps=max(opts.homotopy_steps, 10), trust_ratio=3.0
         )
         chains.append((anchor, 0, slow))
     for _ in range(opts.restarts - len(chains)):
@@ -483,11 +462,12 @@ def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target):
             chains.append((np.exp(2j * np.pi * rng.random(A.shape[0])), _FREEZE_LEVELS, opts))
         else:
             chains.append((rng.choice([-1.0, 1.0], size=A.shape[0]), _FREEZE_LEVELS, opts))
+    svd = _thin_svd(A)
     outcomes = []
     for u0, freeze, chain_opts in chains:
-        out = _run_restart(A, b, epsilon, chain_opts, u0, freeze, feas_fn, y_target)
+        out = _run_restart(A, b, epsilon, chain_opts, u0, freeze, feas_fn, y_target, svd)
         if not complex_field:
-            out = _flip_descent(A, b, y_target, epsilon, opts, out, feas_fn)
+            out = _flip_descent(A, b, y_target, epsilon, opts, out, feas_fn, svd)
         outcomes.append(out)
     return outcomes
 
@@ -501,7 +481,7 @@ def _select_report(outcomes, epsilon, scale: float = 1.0) -> SolveReport:
         xhat=o.xhat,
         objective=float(np.sum(np.abs(o.xhat))),
         feasibility=o.feasibility,
-        outer_iters=o.outer_iters,
+        outer_iters=len(o.trace),
         inner_iters_total=sum(r.inner_iters for r in outcomes),
         restart_index_of_best=best,
         termination=o.termination,
@@ -520,6 +500,7 @@ def solve_affine_pr_real(
     if y.shape != (ensemble.m,):
         raise ValueError("y has wrong length")
     A, b = ensemble.A, ensemble.b
+    _require_finite(A=A, b=b, y=y)
 
     def feas(x):
         return float(np.linalg.norm(np.abs(A @ x + b) - y))
@@ -544,6 +525,7 @@ def solve_affine_pr_complex(
     if data.shape != (ensemble.m,):
         raise ValueError("observation vector has wrong length")
     A, b = ensemble.A, ensemble.b
+    _require_finite(A=A, b=b, y_or_ytilde=data)
 
     clipped = 0
     if opts.mode == "intensity":

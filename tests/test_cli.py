@@ -72,7 +72,7 @@ def test_solve_report_deterministic(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_phase_grid_cli_csv(tmp_path):
+def test_phase_grid_cli_csv(tmp_path, capsys):
     cfg = {
         "experiment": "phase_grid",
         "field": "real",
@@ -91,6 +91,9 @@ def test_phase_grid_cli_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("m,k,trials")
     assert len(lines) == 2
+    capsys.readouterr()
+    assert run_cli(["--config", str(cfg_path), "phase-grid"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_lemma_cli_exit_code(tmp_path, capsys):

@@ -90,34 +90,68 @@ def test_phase_grid_threads_do_not_change_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_phase_grid_resumes_after_interrupt(tmp_path):
-    out_full = tmp_path / "full.csv"
-    run_phase_grid(ExperimentConfig.from_dict({**SMALL_GRID, "output_path": str(out_full)}))
+def test_phase_grid_resumes_after_interrupt(tmp_path, monkeypatch):
+    _check_resume_after_interrupt(tmp_path, monkeypatch, threads=1)
 
-    out_resume = tmp_path / "resume.csv"
-    cfg = ExperimentConfig.from_dict({**SMALL_GRID, "output_path": str(out_resume)})
-    with pytest.raises(InterruptedError):
-        run_phase_grid(cfg, fail_after=1)
-    assert os.path.exists(str(out_resume) + ".partial.jsonl")
 
-    calls = []
+def test_phase_grid_resumes_after_interrupt_threaded(tmp_path, monkeypatch):
+    _check_resume_after_interrupt(tmp_path, monkeypatch, threads=2)
+
+
+def _check_resume_after_interrupt(tmp_path, monkeypatch, threads):
+    import threading
+
     import affinepr.harness as hmod
 
-    original = hmod.run_cell
+    grid = {**SMALL_GRID, "m_list": [24, 32, 40], "trials_per_cell": 2}
+    out_full = tmp_path / "full.csv"
+    run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(out_full)}))
 
-    def counting(config, m, k, eps):
-        calls.append((m, k))
+    original = hmod.run_cell
+    lock = threading.Lock()
+    calls = []
+
+    def interrupted_after_two(config, m, k, eps):
+        with lock:
+            calls.append(m)
+            if len(calls) > 2:
+                raise KeyboardInterrupt
         return original(config, m, k, eps)
 
-    hmod.run_cell = counting
-    try:
-        cfg2 = ExperimentConfig.from_dict({**SMALL_GRID, "output_path": str(out_resume)})
-        run_phase_grid(cfg2)
-    finally:
-        hmod.run_cell = original
-    assert len(calls) == 1  # first cell was loaded from the partial file
+    out_resume = tmp_path / "resume.csv"
+    cfg = ExperimentConfig.from_dict({**grid, "output_path": str(out_resume)})
+    monkeypatch.setattr(hmod, "run_cell", interrupted_after_two)
+    with pytest.raises(KeyboardInterrupt):
+        run_phase_grid(cfg, threads=threads)
+
+    sidecar = str(out_resume) + ".partial.jsonl"
+    with open(sidecar, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh][1:]
+    assert sorted(rec["key"][0] for rec in records) == [24, 32]
+    assert not out_resume.exists()
+
+    resumed = []
+
+    def counting(config, m, k, eps):
+        resumed.append(m)
+        return original(config, m, k, eps)
+
+    monkeypatch.setattr(hmod, "run_cell", counting)
+    run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(out_resume)}))
+    assert resumed == [40]  # the finished cells were loaded from the sidecar
     assert out_resume.read_bytes() == out_full.read_bytes()
-    assert not os.path.exists(str(out_resume) + ".partial.jsonl")
+    assert not os.path.exists(sidecar)
+
+
+def test_write_text_failure_keeps_previous_file(tmp_path):
+    from affinepr.harness import _write_text
+
+    path = tmp_path / "out.csv"
+    _write_text(str(path), "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(str(path), "new,row\n" * 1000 + "\ud800\n")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_noise_curve_runs_and_fits(tmp_path):

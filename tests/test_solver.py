@@ -85,6 +85,98 @@ def test_bpdn_oracle_equivalence_small():
         assert res.objective == pytest.approx(obj, abs=1e-4)
 
 
+def test_bpdn_direct_solve_full_column_rank():
+    rng = np.random.default_rng(8)
+    for D in (rng.standard_normal((12, 8)), rng.standard_normal((8, 8))):
+        c = D @ rng.standard_normal(D.shape[1])
+        res = bpdn(D, c, 0.0)
+        assert res.converged and res.iterations == 0
+        assert np.allclose(res.x, np.linalg.pinv(D) @ c, atol=1e-10)
+        assert res.primal_residual <= 1e-9 * (1 + np.linalg.norm(c))
+
+
+def test_bpdn_direct_solve_reports_inconsistent_system():
+    rng = np.random.default_rng(9)
+    D = rng.standard_normal((20, 8))
+    c = rng.standard_normal(20)
+    res = bpdn(D, c, 0.0)
+    lsq = np.linalg.lstsq(D, c, rcond=None)[0]
+    assert not res.converged and res.iterations == 0
+    assert res.primal_residual == pytest.approx(np.linalg.norm(D @ lsq - c), rel=1e-9)
+    assert res.primal_residual > 0.1
+
+
+def test_bpdn_matches_linprog_basis_pursuit_at_n64():
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        D = rng.standard_normal((40, 64))
+        c = rng.standard_normal(40)
+        # min 1'(p + q) s.t. D (p - q) = c, p, q >= 0
+        lp = linprog(np.ones(128), A_eq=np.hstack([D, -D]), b_eq=c, bounds=(0, None), method="highs")
+        assert lp.status == 0
+        res = bpdn(D, c, 0.0)
+        assert res.objective == pytest.approx(lp.fun, rel=1e-6)
+        assert np.linalg.norm(D @ res.x - c) <= 1e-6 * (1 + np.linalg.norm(c))
+
+
+def test_bpdn_noisy_feasibility_contract_at_n64():
+    rng = np.random.default_rng(11)
+    for m in (40, 100):
+        D = rng.standard_normal((m, 64))
+        x = np.zeros(64)
+        x[rng.choice(64, size=3, replace=False)] = rng.standard_normal(3)
+        c = D @ x + 0.05 * rng.standard_normal(m)
+        eps = 0.1 * np.linalg.norm(c)
+        res = bpdn(D, c, eps)
+        assert res.converged
+        assert np.linalg.norm(D @ res.x - c) <= eps + 1e-6 * (1 + np.linalg.norm(c))
+        assert res.objective <= np.sum(np.abs(x)) + 1e-6
+
+
+def test_bpdn_rejects_non_finite_inputs():
+    D = np.eye(3)
+    c = np.ones(3)
+    with pytest.raises(ValueError, match="^D has"):
+        bpdn(np.where(D == 1, np.nan, D), c, 0.0)
+    with pytest.raises(ValueError, match="^c has"):
+        bpdn(D, np.array([1.0, np.inf, 0.0]), 0.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        bpdn(D, c, float("nan"))
+
+
+def test_solvers_reject_non_finite_inputs():
+    real = make_instance("real", 8, 1, 12, SeedSpec(16), bias=1.0)
+    cplx = make_instance("complex", 8, 1, 12, SeedSpec(17))
+    for solve, inst, name in (
+        (solve_affine_pr_real, real, "y"),
+        (solve_affine_pr_complex, cplx, "y_or_ytilde"),
+    ):
+        ens = inst.ensemble
+        bad_y = inst.y.copy()
+        bad_y[3] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} has"):
+            solve(ens, bad_y, 0.0, FAST)
+        bad_A = ens.A.copy()
+        bad_A[0, 0] = np.inf
+        with pytest.raises(ValueError, match="^A has"):
+            solve(MeasurementEnsemble(ens.field, bad_A, ens.b), inst.y, 0.0, FAST)
+        bad_b = ens.b.copy()
+        bad_b[1] = np.nan
+        with pytest.raises(ValueError, match="^b has"):
+            solve(MeasurementEnsemble(ens.field, ens.A, bad_b), inst.y, 0.0, FAST)
+
+
+def test_real_solver_accepts_negative_magnitudes():
+    # Noisy magnitudes can dip below zero; they are data, not an error.
+    inst = make_instance("real", 8, 1, 12, SeedSpec(18), bias=1.0)
+    y = inst.y.copy()
+    y[0] = -0.01
+    rep = solve_affine_pr_real(inst.ensemble, y, 0.05, FAST)
+    assert np.all(np.isfinite(rep.xhat))
+
+
 def test_bpdn_complex_field():
     rng = np.random.default_rng(4)
     D = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) / np.sqrt(2)
