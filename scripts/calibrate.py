@@ -56,7 +56,7 @@ def calibrate_real(trials: int) -> dict:
         }
     )
     t0 = time.time()
-    cells = run_phase_grid(config, threads=2)
+    cells = run_phase_grid(config)
     rates = {c.m: c.success_count / c.trial_count for c in cells}
     print(f"real grid rates: {rates}  ({time.time()-t0:.0f}s)")
     m_star = m_grid[-1]
@@ -123,7 +123,7 @@ def calibrate_noise(trials: int, m_star: int) -> dict:
         }
     )
     t0 = time.time()
-    result = run_noise_curve(config, threads=2)
+    result = run_noise_curve(config)
     medians = [c.median_plain_error for c in result.cells]
     print(
         f"noise curve medians: {medians} slope={result.slope:.3f} "

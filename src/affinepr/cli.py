@@ -1,8 +1,8 @@
 """Command-line interface for generation, solving, and batch experiments.
 
 Every subcommand is driven by a JSON config (``--config``) mirroring
-ExperimentConfig, with ``--seed``, ``--out``, ``--threads`` and
-``--format`` overrides.  Outputs are deterministic for a fixed config.
+ExperimentConfig, with ``--seed``, ``--out`` and ``--format`` overrides.
+Outputs are deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _cmd_phase_grid(args) -> int:
     out = config.output_path
     if args.format == "json":
         config.output_path = ""
-    cells = run_phase_grid(config, threads=args.threads)
+    cells = run_phase_grid(config)
     if args.format == "json":
         _dump_json([_cell_to_json(c) for c in cells], out or None)
     elif not out:
@@ -115,7 +115,7 @@ def _cmd_phase_grid(args) -> int:
 
 def _cmd_noise_curve(args) -> int:
     config = _load_config(args)
-    result = run_noise_curve(config, threads=args.threads)
+    result = run_noise_curve(config)
     summary = {
         "slope": result.slope,
         "r_squared": result.r_squared,
@@ -191,41 +191,27 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config mirroring ExperimentConfig")
     parser.add_argument("--seed", type=int, help="override master seed")
     parser.add_argument("--out", help="override output path")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grid cells")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
     specs = [
-        ("gen", _cmd_gen, "generate and save a problem instance"),
-        ("solve", _cmd_solve, "solve a saved instance, emit a JSON report"),
-        ("srip", _cmd_srip, "empirical strong-RIP profile for A and [A b]"),
-        ("ripmap", _cmd_ripmap, "lifted-map l1/Frobenius ratio band"),
-        ("lemma", _cmd_lemma, "randomized lemma suite"),
-        ("phase-grid", _cmd_phase_grid, "noiseless success grid over (m, k)"),
-        ("noise-curve", _cmd_noise_curve, "median error vs epsilon"),
-        ("impossibility", _cmd_impossibility, "bias-in-range impossibility demo"),
+        ("gen", _cmd_gen, "phase_grid", "generate and save a problem instance"),
+        ("solve", _cmd_solve, "phase_grid", "solve a saved instance, emit a JSON report"),
+        ("srip", _cmd_srip, "srip", "empirical strong-RIP profile for A and [A b]"),
+        ("ripmap", _cmd_ripmap, "ripmap", "lifted-map l1/Frobenius ratio band"),
+        ("lemma", _cmd_lemma, "lemma_suite", "randomized lemma suite"),
+        ("phase-grid", _cmd_phase_grid, "phase_grid", "noiseless success grid over (m, k)"),
+        ("noise-curve", _cmd_noise_curve, "noise_curve", "median error vs epsilon"),
+        ("impossibility", _cmd_impossibility, "impossibility", "bias-in-range impossibility demo"),
     ]
-    for name, fn, help_text in specs:
+    for name, fn, experiment, help_text in specs:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn, experiment_default=_experiment_for(name))
+        p.set_defaults(fn=fn, experiment_default=experiment)
         if name == "solve":
             p.add_argument("instance", help="path to a saved instance file")
 
     args = parser.parse_args(argv)
     return args.fn(args)
-
-
-def _experiment_for(command: str) -> str:
-    return {
-        "gen": "phase_grid",
-        "solve": "phase_grid",
-        "srip": "srip",
-        "ripmap": "ripmap",
-        "lemma": "lemma_suite",
-        "phase-grid": "phase_grid",
-        "noise-curve": "noise_curve",
-        "impossibility": "impossibility",
-    }[command]
 
 
 if __name__ == "__main__":

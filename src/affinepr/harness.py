@@ -3,8 +3,8 @@
 All experiments are driven by an ``ExperimentConfig`` (JSON-mirrored,
 unknown keys rejected) and a master seed.  Per-trial randomness comes from
 streams derived as (master_seed, experiment, cell, trial), so results are
-byte-reproducible regardless of execution order or thread count, and
-interrupted grid runs resume from a sidecar file of completed cells.
+byte-reproducible regardless of execution order, and interrupted grid
+runs resume from a sidecar file of completed cells.
 
 Wall-clock timings are kept on the in-memory results only; serialized
 output holds a zero in the wall_ms column so that reruns of the same
@@ -16,11 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import statistics
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
@@ -91,6 +90,11 @@ class ExperimentConfig:
         kind = self.bias.get("kind")
         if kind not in ("constant", "complex_gaussian", "file"):
             raise ValueError(f"unknown bias kind {kind!r}")
+        c = self.bias.get("c")
+        if kind == "constant" and not (isinstance(c, numbers.Real) and math.isfinite(c)):
+            raise ValueError("constant bias needs a finite number 'c'")
+        if kind == "file" and not isinstance(self.bias.get("path"), str):
+            raise ValueError("file bias needs a string 'path'")
         return self
 
     @classmethod
@@ -217,20 +221,18 @@ def run_cell(config: ExperimentConfig, m: int, k: int, epsilon: float) -> tuple[
     return cell, trials
 
 
-def _grid_row(cell: CellResult, lead: str) -> str:
+def _grid_row(cell: CellResult, *lead: str) -> list:
     lo, hi = wilson_interval(cell.success_count, cell.trial_count)
-    return ",".join(
-        [
-            lead,
-            str(cell.trial_count),
-            str(cell.success_count),
-            _fmt(lo),
-            _fmt(hi),
-            _fmt(cell.median_plain_error),
-            _fmt(cell.median_global_phase_error),
-            "0",
-        ]
-    )
+    return [
+        *lead,
+        str(cell.trial_count),
+        str(cell.success_count),
+        _fmt(lo),
+        _fmt(hi),
+        _fmt(cell.median_plain_error),
+        _fmt(cell.median_global_phase_error),
+        "0",
+    ]
 
 
 def _cell_to_json(cell: CellResult) -> dict:
@@ -249,104 +251,71 @@ def _cell_to_json(cell: CellResult) -> dict:
     }
 
 
-def _resume_path(out_path: str) -> str:
-    return out_path + ".partial.jsonl"
-
-
-def _load_resume(out_path: str, digest: str) -> dict:
-    path = _resume_path(out_path)
+def _load_resume(path: str, digest: str) -> dict:
+    """Cells recorded in the sidecar ``path``; {} if it is absent, corrupt or
+    from another config.  Every record is written with its newline, so a last
+    line without one was torn by an interrupted write: it is cut from the file
+    so the next record starts on a line of its own."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()
+        _write_text(path, "".join(lines))
     done = {}
-    if not out_path or not os.path.exists(path):
-        return done
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("config_digest") != digest:
-                return {}
-            for line in fh:
-                rec = json.loads(line)
-                done[tuple(rec["key"])] = CellResult(**rec["cell"])
-    except (ValueError, KeyError, TypeError):
+        if json.loads(lines[0]).get("config_digest") != digest:
+            return {}
+        for line in lines[1:]:
+            rec = json.loads(line)
+            done[tuple(rec["key"])] = CellResult(**rec["cell"])
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
         return {}
     return done
 
 
-class _ResumeWriter:
-    def __init__(self, out_path: str, digest: str, preexisting: dict):
-        self.path = _resume_path(out_path) if out_path else ""
-        self.fh = None
-        if self.path:
-            mode = "a" if preexisting else "w"
-            self.fh = open(self.path, mode, encoding="utf-8")
-            if mode == "w":
-                self.fh.write(json.dumps({"config_digest": digest}) + "\n")
-                self.fh.flush()
-
-    def record(self, key, cell: CellResult):
-        if self.fh:
-            self.fh.write(json.dumps({"key": list(key), "cell": asdict(cell)}) + "\n")
-            self.fh.flush()
-
-    def close(self, success: bool):
-        if self.fh:
-            self.fh.close()
-            if success and os.path.exists(self.path):
-                os.remove(self.path)
-
-
-def _run_cells(config: ExperimentConfig, keys: list, threads: int = 1):
-    """Run (m, k, eps) cells, resumably; returns cells in key order."""
+def _run_cells(config: ExperimentConfig, keys: list) -> list:
+    """Run (m, k, eps) cells in key order and return them.  With an output
+    path each cell is appended to a sidecar as it finishes, so an interrupted
+    run resumes from every finished cell; a complete run deletes the sidecar."""
+    if not config.output_path:
+        return [run_cell(config, *key)[0] for key in keys]
+    path = config.output_path + ".partial.jsonl"
     digest = config.digest()
-    done = _load_resume(config.output_path, digest) if config.output_path else {}
-    writer = _ResumeWriter(config.output_path, digest, done)
-    pending = [key for key in keys if key not in done]
-    lock = threading.Lock()
-
-    def run_and_record(key):
-        # Each cell is recorded as it finishes, so an interrupt keeps it.
-        cell = run_cell(config, *key)[0]
-        with lock:
-            done[key] = cell
-            writer.record(key, cell)
-
-    try:
-        if threads > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(run_and_record, key) for key in pending]
-                try:
-                    for future in futures:
-                        future.result()
-                except BaseException:
-                    # Let running cells finish and record; start no new ones.
-                    pool.shutdown(cancel_futures=True)
-                    raise
-        else:
-            for key in pending:
-                run_and_record(key)
-    except BaseException:
-        writer.close(success=False)
-        raise
-    writer.close(success=len(done) == len(keys))
+    done = _load_resume(path, digest)
+    with open(path, "a" if done else "w", encoding="utf-8") as fh:
+        if not done:
+            fh.write(json.dumps({"config_digest": digest}) + "\n")
+        for key in keys:
+            if key not in done:
+                done[key] = run_cell(config, *key)[0]
+                fh.write(json.dumps({"key": list(key), "cell": asdict(done[key])}) + "\n")
+                fh.flush()
+    os.remove(path)
     return [done[key] for key in keys]
 
 
-def run_phase_grid(config: ExperimentConfig, threads: int = 1) -> list[CellResult]:
+def run_phase_grid(config: ExperimentConfig) -> list[CellResult]:
     """Noiseless success-probability grid over (m, k) cells."""
     config.validate()
     keys = [(m, k, 0.0) for m in config.m_list for k in config.k_list]
-    cells = _run_cells(config, keys, threads=threads)
+    cells = _run_cells(config, keys)
     if config.output_path:
         write_phase_grid_csv(config.output_path, cells)
     return cells
 
 
+def _phase_grid_rows(cells: list[CellResult]) -> list:
+    return [_grid_row(cell, str(cell.m), str(cell.k)) for cell in cells]
+
+
 def phase_grid_csv(cells: list[CellResult]) -> str:
-    lines = [PHASE_GRID_HEADER] + [_grid_row(cell, f"{cell.m},{cell.k}") for cell in cells]
-    return "\n".join(lines) + "\n"
+    return _csv(PHASE_GRID_HEADER, _phase_grid_rows(cells))
 
 
 def write_phase_grid_csv(path: str, cells: list[CellResult]) -> None:
-    _write_text(path, phase_grid_csv(cells))
+    _write_rows(path, PHASE_GRID_HEADER, _phase_grid_rows(cells))
 
 
 @dataclass
@@ -356,13 +325,13 @@ class NoiseCurveResult:
     r_squared: float
 
 
-def run_noise_curve(config: ExperimentConfig, threads: int = 1) -> NoiseCurveResult:
+def run_noise_curve(config: ExperimentConfig) -> NoiseCurveResult:
     """Median error vs epsilon at fixed (n, k, m), with a through-origin fit."""
     config.validate()
     m = config.m_list[0]
     k = config.k_list[0]
     keys = [(m, k, float(e)) for e in config.epsilon_list]
-    cells = _run_cells(config, keys, threads=threads)
+    cells = _run_cells(config, keys)
     eps = np.array([c.epsilon for c in cells])
     err = np.array(
         [
@@ -376,10 +345,8 @@ def run_noise_curve(config: ExperimentConfig, threads: int = 1) -> NoiseCurveRes
     ss_tot = float(np.sum((err - float(np.mean(err))) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if config.output_path:
-        lines = [NOISE_CURVE_HEADER]
-        for cell in cells:
-            lines.append(_grid_row(cell, _fmt(cell.epsilon)))
-        _write_text(config.output_path, "\n".join(lines) + "\n")
+        rows = [_grid_row(cell, _fmt(cell.epsilon)) for cell in cells]
+        _write_rows(config.output_path, NOISE_CURVE_HEADER, rows)
     return NoiseCurveResult(cells=cells, slope=slope, r_squared=r2)
 
 
@@ -438,12 +405,8 @@ def run_impossibility_demo(config: ExperimentConfig) -> ImpossibilityReport:
         z0_norm=float(np.linalg.norm(z0)),
     )
     if config.output_path:
-        lines = ["r,collision_residual,alias_error,sparse_error"]
-        for i, r in enumerate(r_values):
-            lines.append(
-                ",".join([_fmt(r), _fmt(collision[i]), _fmt(alias_err[i]), _fmt(sparse_err[i])])
-            )
-        _write_text(config.output_path, "\n".join(lines) + "\n")
+        rows = [list(map(_fmt, row)) for row in zip(r_values, collision, alias_err, sparse_err)]
+        _write_rows(config.output_path, "r,collision_residual,alias_error,sparse_error", rows)
     return out
 
 
@@ -463,12 +426,11 @@ def run_srip(config: ExperimentConfig):
         aug, k, config.trials_per_cell, seed.child("profileAb"), last_coord_free=True
     )
     if config.output_path:
-        lines = ["target,k,trials,lower_hat,upper_hat"]
-        for name, est in (("A", est_a), ("Ab", est_ab)):
-            lines.append(
-                ",".join([name, str(k), str(est.samples), _fmt(est.lower_hat), _fmt(est.upper_hat)])
-            )
-        _write_text(config.output_path, "\n".join(lines) + "\n")
+        rows = [
+            [name, str(k), str(est.samples), _fmt(est.lower_hat), _fmt(est.upper_hat)]
+            for name, est in (("A", est_a), ("Ab", est_ab))
+        ]
+        _write_rows(config.output_path, "target,k,trials,lower_hat,upper_hat", rows)
     return est_a, est_ab
 
 
@@ -483,19 +445,9 @@ def run_ripmap(config: ExperimentConfig):
     )
     est = rip_ratio_sample(inst.ensemble.A, inst.ensemble.b, k, config.trials_per_cell, seed)
     if config.output_path:
-        lines = [
-            "k,samples,ratio_min,ratio_max,spread",
-            ",".join(
-                [
-                    str(k),
-                    str(est.samples),
-                    _fmt(est.lower_hat),
-                    _fmt(est.upper_hat),
-                    _fmt(est.upper_hat / est.lower_hat if est.lower_hat > 0 else math.inf),
-                ]
-            ),
-        ]
-        _write_text(config.output_path, "\n".join(lines) + "\n")
+        spread = est.upper_hat / est.lower_hat if est.lower_hat > 0 else math.inf
+        row = [str(k), str(est.samples), _fmt(est.lower_hat), _fmt(est.upper_hat), _fmt(spread)]
+        _write_rows(config.output_path, "k,samples,ratio_min,ratio_max,spread", [row])
     return est
 
 
@@ -576,6 +528,14 @@ def _write_text(path: str, text: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _csv(header: str, rows: list) -> str:
+    return "".join(line + "\n" for line in [header, *map(",".join, rows)])
+
+
+def _write_rows(path: str, header: str, rows: list) -> None:
+    _write_text(path, _csv(header, rows))
 
 
 def _array_payload(arr: np.ndarray):

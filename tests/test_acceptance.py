@@ -103,7 +103,7 @@ def test_criterion_02_real_exact_recovery():
             "solver": fx["solver"],
         }
     )
-    cells = run_phase_grid(config, threads=2)
+    cells = run_phase_grid(config)
     rates = {c.m: c.success_count / c.trial_count for c in cells}
     star_rate = rates[fx["m_star"]]
     ordered = [rates[m] for m in fx["m_grid"]]
@@ -166,7 +166,7 @@ def test_criterion_04_noise_stability_shape():
             "solver": fx["solver"],
         }
     )
-    result = run_noise_curve(config, threads=2)
+    result = run_noise_curve(config)
     zero_cell = result.cells[0]
     medians = [c.median_plain_error for c in result.cells]
     nondecreasing_violations = sum(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -52,6 +53,14 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "phase_grid", "trials_per_cell": 0})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"experiment": "phase_grid", "bias": {"kind": "prime"}})
+    with pytest.raises(ValueError, match="'c'"):
+        ExperimentConfig.from_dict({"experiment": "phase_grid", "bias": {"kind": "constant"}})
+    with pytest.raises(ValueError, match="'c'"):
+        ExperimentConfig.from_dict(
+            {"experiment": "phase_grid", "bias": {"kind": "constant", "c": float("nan")}}
+        )
+    with pytest.raises(ValueError, match="'path'"):
+        ExperimentConfig.from_dict({"experiment": "phase_grid", "bias": {"kind": "file"}})
 
 
 def test_wilson_interval_reference():
@@ -82,25 +91,7 @@ def test_phase_grid_deterministic_csv(tmp_path):
     assert header == "m,k,trials,successes,wilson_lo,wilson_hi,median_err,median_phase_err,wall_ms"
 
 
-def test_phase_grid_threads_do_not_change_bytes(tmp_path):
-    out1 = tmp_path / "t1.csv"
-    out2 = tmp_path / "t2.csv"
-    run_phase_grid(ExperimentConfig.from_dict({**SMALL_GRID, "output_path": str(out1)}), threads=1)
-    run_phase_grid(ExperimentConfig.from_dict({**SMALL_GRID, "output_path": str(out2)}), threads=2)
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_phase_grid_resumes_after_interrupt(tmp_path, monkeypatch):
-    _check_resume_after_interrupt(tmp_path, monkeypatch, threads=1)
-
-
-def test_phase_grid_resumes_after_interrupt_threaded(tmp_path, monkeypatch):
-    _check_resume_after_interrupt(tmp_path, monkeypatch, threads=2)
-
-
-def _check_resume_after_interrupt(tmp_path, monkeypatch, threads):
-    import threading
-
     import affinepr.harness as hmod
 
     grid = {**SMALL_GRID, "m_list": [24, 32, 40], "trials_per_cell": 2}
@@ -108,26 +99,24 @@ def _check_resume_after_interrupt(tmp_path, monkeypatch, threads):
     run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(out_full)}))
 
     original = hmod.run_cell
-    lock = threading.Lock()
     calls = []
 
     def interrupted_after_two(config, m, k, eps):
-        with lock:
-            calls.append(m)
-            if len(calls) > 2:
-                raise KeyboardInterrupt
+        calls.append(m)
+        if len(calls) > 2:
+            raise KeyboardInterrupt
         return original(config, m, k, eps)
 
     out_resume = tmp_path / "resume.csv"
     cfg = ExperimentConfig.from_dict({**grid, "output_path": str(out_resume)})
     monkeypatch.setattr(hmod, "run_cell", interrupted_after_two)
     with pytest.raises(KeyboardInterrupt):
-        run_phase_grid(cfg, threads=threads)
+        run_phase_grid(cfg)
 
     sidecar = str(out_resume) + ".partial.jsonl"
     with open(sidecar, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh][1:]
-    assert sorted(rec["key"][0] for rec in records) == [24, 32]
+    assert [rec["key"][0] for rec in records] == [24, 32]
     assert not out_resume.exists()
 
     resumed = []
@@ -141,6 +130,39 @@ def _check_resume_after_interrupt(tmp_path, monkeypatch, threads):
     assert resumed == [40]  # the finished cells were loaded from the sidecar
     assert out_resume.read_bytes() == out_full.read_bytes()
     assert not os.path.exists(sidecar)
+
+
+def test_phase_grid_resumes_past_torn_last_line(tmp_path, monkeypatch):
+    import affinepr.harness as hmod
+
+    grid = {**SMALL_GRID, "m_list": [24, 32, 40], "trials_per_cell": 2}
+    out_full = tmp_path / "full.csv"
+    run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(out_full)}))
+
+    cfg = ExperimentConfig.from_dict({**grid, "output_path": str(tmp_path / "torn.csv")})
+    header = json.dumps({"config_digest": cfg.digest()})
+    records = [
+        json.dumps({"key": [m, 2, 0.0], "cell": dataclasses.asdict(run_cell(cfg, m, 2, 0.0)[0])})
+        for m in (24, 32)
+    ]
+    torn = json.dumps({"key": [40, 2, 0.0], "cell": {"m": 40}})[:20]  # a write cut short
+    sidecar = tmp_path / "torn.csv.partial.jsonl"
+    sidecar.write_text("\n".join([header, *records, torn]), encoding="utf-8")
+
+    original = hmod.run_cell
+    resumed = []
+
+    def counting(config, m, k, eps):
+        resumed.append(m)
+        if m == 40:  # the cell's own record must land on a fresh line
+            assert sidecar.read_text(encoding="utf-8") == "\n".join([header, *records]) + "\n"
+        return original(config, m, k, eps)
+
+    monkeypatch.setattr(hmod, "run_cell", counting)
+    run_phase_grid(cfg)
+    assert resumed == [40]
+    assert (tmp_path / "torn.csv").read_bytes() == out_full.read_bytes()
+    assert not sidecar.exists()
 
 
 def test_write_text_failure_keeps_previous_file(tmp_path):
