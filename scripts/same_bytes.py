@@ -1,0 +1,175 @@
+"""Check that two source trees write byte-identical experiment outputs.
+
+    python3 scripts/same_bytes.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are ``src`` directories holding an ``affinepr`` package,
+for example the ``src`` of a checkout of the parent commit and ``src`` of the
+working tree.  Each tree runs in its own fresh interpreter, which imports
+``affinepr`` from that directory only and runs:
+
+* the six experiment configs of acceptance criterion 12 (phase grid, noise
+  curve, impossibility demo, srip, ripmap, lemma suite);
+* every config of the benchmark's ``isometry`` workload, read from
+  ``perfbench/workloads.py``, for the benchmark's ``default`` and ``heldout``
+  seeds (99 outputs per seed).
+
+It prints the SHA-256 of every output for both trees side by side and exits
+with status 1 if any output differs, 0 if all are identical.  It writes
+nothing under ``perfbench/``; outputs go to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The configs of tests/test_acceptance.py::test_criterion_12_reproducibility.
+_SMALL_SOLVER = {"restarts": 1, "restart_seed": 2}
+CRITERION_12 = {
+    "grid.csv": {
+        "experiment": "phase_grid",
+        "field": "real",
+        "n": 16,
+        "k_list": [2],
+        "m_list": [24, 32],
+        "trials_per_cell": 3,
+        "bias": {"kind": "constant", "c": 1.0},
+        "master_seed": 31,
+        "solver": _SMALL_SOLVER,
+    },
+    "curve.csv": {
+        "experiment": "noise_curve",
+        "field": "real",
+        "n": 16,
+        "k_list": [2],
+        "m_list": [32],
+        "trials_per_cell": 3,
+        "epsilon_list": [0.0, 0.05],
+        "bias": {"kind": "constant", "c": 1.0},
+        "master_seed": 32,
+        "solver": _SMALL_SOLVER,
+    },
+    "impos.csv": {
+        "experiment": "impossibility",
+        "field": "real",
+        "n": 24,
+        "k_list": [2],
+        "m_list": [20],
+        "trials_per_cell": 1,
+        "bias": {"kind": "constant", "c": 1.0},
+        "master_seed": 33,
+        "solver": _SMALL_SOLVER,
+    },
+    "srip.csv": {
+        "experiment": "srip",
+        "field": "real",
+        "n": 20,
+        "k_list": [2],
+        "m_list": [16],
+        "trials_per_cell": 60,
+        "bias": {"kind": "constant", "c": 1.0},
+        "master_seed": 34,
+    },
+    "ripmap.csv": {
+        "experiment": "ripmap",
+        "field": "complex",
+        "n": 12,
+        "k_list": [2],
+        "m_list": [40],
+        "trials_per_cell": 150,
+        "bias": {"kind": "complex_gaussian"},
+        "master_seed": 35,
+    },
+    "lemma.json": {
+        "experiment": "lemma_suite",
+        "field": "real",
+        "n": 8,
+        "k_list": [2],
+        "m_list": [8],
+        "trials_per_cell": 300,
+        "master_seed": 36,
+    },
+}
+
+# Runs in a fresh interpreter with PYTHONPATH set to one tree's src.
+# argv: src directory, repository root, output directory, criterion-12 configs.
+CHILD = r"""
+import hashlib, importlib.util, json, os, sys
+sys.dont_write_bytecode = True
+src, root, out_dir, jobs = sys.argv[1], sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
+import affinepr.harness as harness
+if not os.path.abspath(harness.__file__).startswith(os.path.abspath(src) + os.sep):
+    raise SystemExit(f"imported affinepr from {harness.__file__}, not from {src}")
+
+def load(name):
+    path = os.path.join(root, "perfbench", name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+seeds = load("run").SEEDS
+workloads = load("workloads")
+jobs = list(jobs.items())
+for label in ("default", "heldout"):
+    configs = workloads.isometry_configs(seeds[label])
+    jobs += [(f"isometry-{label}-{i:02d}-{c['experiment']}", c) for i, c in enumerate(configs)]
+run = {
+    "phase_grid": harness.run_phase_grid,
+    "noise_curve": harness.run_noise_curve,
+    "impossibility": harness.run_impossibility_demo,
+    "srip": harness.run_srip,
+    "ripmap": harness.run_ripmap,
+    "lemma_suite": harness.run_lemma_suite,
+}
+digests = {}
+for name, cfg in jobs:
+    path = os.path.join(out_dir, name)
+    config = harness.ExperimentConfig.from_dict(dict(cfg, output_path=path))
+    run[config.experiment](config)
+    with open(path, "rb") as fh:
+        digests[name] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def digests(src: str) -> dict:
+    src = os.path.abspath(src)
+    if not os.path.isfile(os.path.join(src, "affinepr", "__init__.py")):
+        raise SystemExit(f"no affinepr package under {src}")
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as out_dir:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, src, ROOT, out_dir, json.dumps(CRITERION_12)],
+            cwd=out_dir,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    if proc.returncode != 0:
+        raise SystemExit(f"run with {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    old, new = (digests(src) for src in argv)
+    differ = 0
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, "-"), new.get(name, "-")
+        same = a == b
+        differ += not same
+        print(f"{'same' if same else 'DIFF'}  {name:34s} {a}  {b}")
+    print(f"{len(old)} outputs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

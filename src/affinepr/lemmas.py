@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ripcheck import _checked
 from .rng import SeedSpec
 
 
@@ -31,22 +32,23 @@ def check_decomposition(dec: SparseDecomposition, v, k: int, theta: float) -> No
     """Independent validator for decomposition invariants; raises on failure."""
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(dec.weights, dtype=np.float64)
-    if np.any(w < -1e-15) or np.any(w > 1.0 + 1e-12):
+    if (w < -1e-15).any() or (w > 1.0 + 1e-12).any():
         raise AssertionError("weights outside [0, 1]")
-    if abs(float(np.sum(w)) - 1.0) > 1e-12:
+    if abs(float(w.sum()) - 1.0) > 1e-12:
         raise AssertionError("weights do not sum to 1")
-    l1_v = float(np.sum(np.abs(v)))
+    l1_v = float(np.abs(v).sum())
+    atoms = np.array(dec.atoms, dtype=np.float64, ndmin=2)
+    mags = np.abs(atoms)
+    if (np.count_nonzero(atoms, axis=1) > k).any():
+        raise AssertionError("atom not k-sparse")
+    if (mags.max(axis=1, initial=0.0) > theta * (1.0 + 1e-12)).any():
+        raise AssertionError("atom exceeds sup-norm budget")
+    if (mags.sum(axis=1) > l1_v * (1.0 + 1e-12) + 1e-15).any():
+        raise AssertionError("atom exceeds l1 budget")
     recon = np.zeros_like(v)
-    for lam, atom in zip(w, dec.atoms):
-        atom = np.asarray(atom, dtype=np.float64)
-        if int(np.count_nonzero(atom)) > k:
-            raise AssertionError("atom not k-sparse")
-        if float(np.max(np.abs(atom), initial=0.0)) > theta * (1.0 + 1e-12):
-            raise AssertionError("atom exceeds sup-norm budget")
-        if float(np.sum(np.abs(atom))) > l1_v * (1.0 + 1e-12) + 1e-15:
-            raise AssertionError("atom exceeds l1 budget")
+    for lam, atom in zip(w, atoms):
         recon = recon + lam * atom
-    if float(np.max(np.abs(recon - v), initial=0.0)) > 1e-10:
+    if float(np.abs(recon - v).max(initial=0.0)) > 1e-10:
         raise AssertionError("atoms do not reconstruct v")
 
 
@@ -60,16 +62,14 @@ def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
     zeroes a coordinate for good or pins one at theta for good, so at most
     2n atoms are emitted (a hard counter enforces this).
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("v must be 1-d")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    v = _checked("v", np.asarray(v, dtype=np.float64), (None,))
+    if not 0.0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     if k < 1:
         raise ValueError("k must be >= 1")
     n = v.size
-    sup = float(np.max(np.abs(v), initial=0.0))
-    l1 = float(np.sum(np.abs(v)))
+    sup = float(np.abs(v).max(initial=0.0))
+    l1 = float(np.abs(v).sum())
     if sup > theta * (1.0 + 1e-12):
         raise ValueError("precondition ||v||_inf <= theta violated")
     if l1 > k * theta * (1.0 + 1e-12):
@@ -87,10 +87,10 @@ def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
         nz = np.count_nonzero(w)
         if nz <= k:
             break
-        order = np.argsort(-w, kind="stable")
+        order = (-w).argsort(kind="stable")
         # Atom mass equals the remainder's per-unit-weight l1 exactly; any
         # gap between the two would amplify through 1/(1-lam) at large lam.
-        L = float(np.sum(w)) / mu
+        L = float(w.sum()) / mu
         j_full = int(min(math.floor(L / theta + 1e-12), k))
         c = L - j_full * theta
         if c < 0.0:
@@ -105,18 +105,19 @@ def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
             partial_idx = int(order[j_full])
             atom_mag[partial_idx] = c
 
-        # Largest weight keeping the rescaled remainder inside the polytope.
-        rho = w / mu
+        # Largest weight keeping the rescaled remainder rho = w / mu inside
+        # the polytope; only the entries at the cut are needed.
         caps = []
         if j_full:
-            caps.append(float(rho[order[j_full - 1]]) / theta)
+            caps.append(float(w[order[j_full - 1]]) / mu / theta)
         if partial_idx is not None:
-            caps.append(rho[partial_idx] / c)
+            rho_partial = float(w[partial_idx]) / mu
+            caps.append(rho_partial / c)
             if c < theta:
-                caps.append((theta - rho[partial_idx]) / (theta - c))
+                caps.append((theta - rho_partial) / (theta - c))
         tail_start = j_full + (1 if partial_idx is not None else 0)
         if tail_start < nz:
-            caps.append(1.0 - rho[order[tail_start]] / theta)
+            caps.append(1.0 - float(w[order[tail_start]]) / mu / theta)
         lam = min(caps)
         if not 0.0 < lam < 1.0:
             raise RuntimeError(f"peeling stalled (lam={lam}); implementation bug")
@@ -132,25 +133,25 @@ def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
         w[np.abs(w) <= snap] = 0.0
         cap = mu * theta
         w[np.abs(w - cap) <= snap] = cap
-        if np.any(w < -snap) or np.any(w > cap + snap):
+        if w.min() < -snap or w.max() > cap + snap:
             raise RuntimeError("peeling left the constraint polytope; implementation bug")
-        np.clip(w, 0.0, cap, out=w)
+        np.minimum(np.maximum(w, 0.0, out=w), cap, out=w)
         # Boundary snaps can nudge the remainder mass above the l1 budget;
         # repair on strictly interior coordinates so saturated ones stay
         # saturated (otherwise they would be re-raised step after step).
-        excess = float(np.sum(w)) - l1 * mu
+        excess = float(w.sum()) - l1 * mu
         if excess > 0.0:
             interior = (w > 0.0) & (w < cap)
-            pool = float(np.sum(w[interior]))
+            pool = float(w[interior].sum())
             if pool >= excess:
                 w[interior] *= (pool - excess) / pool
             else:
-                w *= l1 * mu / float(np.sum(w))
+                w *= l1 * mu / float(w.sum())
     else:
         raise RuntimeError("termination bound exceeded; implementation bug")
 
     last = np.minimum(w / mu, theta)
-    mass = float(np.sum(last))
+    mass = float(last.sum())
     if mass > l1 > 0:
         last *= l1 / mass
     weights.append(1.0 - float(np.sum(weights)))
@@ -231,13 +232,13 @@ def moment_bound_check(
     confidence radius on both sides.  The bias enters through |b|; H must
     be Hermitian with rank <= 2 (third singular value below 1e-8).
     """
-    H = np.asarray(H, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
+    h = _checked("h", np.asarray(h, dtype=np.complex128), (None,))
+    n = h.size
+    H = _checked("H", np.asarray(H, dtype=np.complex128), (n, n))
+    if not math.isfinite(abs(b)):
+        raise ValueError("b must be finite")
     if samples < 1000:
         raise ValueError("need at least 1e3 samples")
-    n = H.shape[0]
-    if H.shape != (n, n) or h.shape != (n,):
-        raise ValueError("dimension mismatch")
     if float(np.max(np.abs(H - H.conj().T), initial=0.0)) > 1e-10 * max(
         1.0, float(np.max(np.abs(H), initial=0.0))
     ):

@@ -20,7 +20,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .rng import SeedSpec
+from .rng import SeedSpec, _splitmix64
+
+# Trials whose ratios are evaluated together: enough to keep BLAS busy
+# between Python draws, few enough that a block's products (3 x 64 x m
+# complex) stay near a megabyte.
+_BLOCK = 64
 
 
 @dataclass
@@ -33,14 +38,34 @@ class RipEstimate:
     config: dict = dc_field(default_factory=dict)
 
 
+def _checked(name: str, arr, shape: tuple) -> np.ndarray:
+    """``arr`` as an array of ``shape`` (``None`` matches any length), all finite."""
+    arr = np.asarray(arr)
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
+def _trial_seeds(seed: SeedSpec, label: str, trials: int):
+    """The derived seeds of ``seed.child(label, t)`` for t = 0, 1, ...
+
+    ``SeedSpec.derive`` mixes each label into the state with one splitmix64
+    step, so the shared prefix is derived once and each trial costs one step.
+    """
+    state = seed.child(label).derive()
+    return (_splitmix64(state ^ t) for t in range(trials))
+
+
 def srip_extremes_for_x(A, x) -> tuple[float, float]:
     """Exact (min, max) of ||A_I x||^2 / ||x||^2 over subsets |I| >= m/2.
 
     The squared row responses are nonnegative, so the max takes every row
     and the min keeps the ceil(m/2) smallest.
     """
-    A = np.asarray(A)
-    x = np.asarray(x)
+    A = _checked("A", A, (None, None))
+    x = _checked("x", x, (A.shape[1],))
     nx2 = float(np.real(np.vdot(x, x)))
     if nx2 == 0.0:
         raise ValueError("x must be nonzero")
@@ -54,9 +79,9 @@ def srip_extremes_for_x(A, x) -> tuple[float, float]:
 
 def _sparse_extremes(A, support, values, keep):
     sq = np.abs(A[:, support] @ values) ** 2
-    nx2 = float(np.real(np.vdot(values, values)))
+    nx2 = float(np.vdot(values, values).real)
     part = np.partition(sq, keep - 1)
-    return float(np.sum(part[:keep])) / nx2, float(np.sum(sq)) / nx2
+    return float(part[:keep].sum()) / nx2, float(sq.sum()) / nx2
 
 
 def srip_profile(
@@ -71,24 +96,30 @@ def srip_profile(
 
     Each trial draws a Gaussian-amplitude k-sparse vector and then greedily
     tries coordinate swaps (up to ``refine_swaps``, split between pushing
-    the lower extreme down and the upper extreme up).  With
-    ``last_coord_free`` the final coordinate is always active on top of the
-    k-sparse head, matching augmented matrices [A b] whose appended
-    coordinate is unrestricted.
+    the lower extreme down and the upper extreme up).  A swap moves one
+    support position to a coordinate drawn uniformly from the ``head - k``
+    coordinates outside the support.  With ``last_coord_free`` the final
+    coordinate is always active on top of the k-sparse head, matching
+    augmented matrices [A b] whose appended coordinate is unrestricted.
 
-    Per-trial streams are derived from ``seed``, so extending ``trials``
-    under the same seed only adds samples: the lower estimate is
-    nonincreasing and the upper nondecreasing in ``trials``.
+    Per-trial streams are derived from ``seed`` (trial t reads the stream of
+    ``seed.child("srip", t)``), so extending ``trials`` under the same seed
+    only adds samples: the lower estimate is nonincreasing and the upper
+    nondecreasing in ``trials``.
     """
-    A = np.asarray(A)
+    A = _checked("A", A, (None, None))
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if refine_swaps < 0:
+        raise ValueError("refine_swaps must be >= 0")
     m, n = A.shape
     head = n - 1 if last_coord_free else n
     if not 1 <= k <= head:
         raise ValueError(f"need 1 <= k <= {head}, got k={k}")
     keep = math.ceil(m / 2)
     complex_field = np.iscomplexobj(A)
+    # The head part of a support always holds k distinct coordinates.
+    free = head - k
 
     best_low = math.inf
     best_high = -math.inf
@@ -99,42 +130,41 @@ def srip_profile(
             return rng.standard_normal(size) + 1j * rng.standard_normal(size)
         return rng.standard_normal(size)
 
-    for t in range(trials):
-        rng = seed.child("srip", t).rng()
-        support = np.sort(rng.choice(head, size=k, replace=False))
+    for trial_seed in _trial_seeds(seed, "srip", trials):
+        rng = np.random.default_rng(trial_seed)
+        base_support = np.sort(rng.choice(head, size=k, replace=False))
         if last_coord_free:
-            support = np.append(support, head)
-        values = draw_values(rng, support.size)
-        base = (support.copy(), values.copy())
+            base_support = np.append(base_support, head)
+        base_values = draw_values(rng, base_support.size)
 
-        for target in ("low", "high"):
-            support, values = base[0].copy(), base[1].copy()
-            low, high = _sparse_extremes(A, support, values, keep)
-            score = low if target == "low" else high
+        for lower in (True, False):
+            side = 0 if lower else 1
+            support, values = base_support, base_values
+            score = _sparse_extremes(A, support, values, keep)[side]
             for _ in range(refine_swaps // 2):
                 swap_pos = int(rng.integers(0, k))
-                candidates = np.setdiff1d(np.arange(head), support[:k] if last_coord_free else support)
-                if candidates.size == 0:
+                if free == 0:
                     break
-                new_idx = int(candidates[rng.integers(0, candidates.size)])
+                # The r-th coordinate outside the support, counting upwards.
+                new_idx = int(rng.integers(0, free))
+                for taken in sorted(support[:k].tolist()):
+                    if taken > new_idx:
+                        break
+                    new_idx += 1
                 trial_support = support.copy()
                 trial_support[swap_pos] = new_idx
                 trial_values = values.copy()
                 trial_values[swap_pos] = draw_values(rng, 1)[0]
-                lo2, hi2 = _sparse_extremes(A, trial_support, trial_values, keep)
-                cand_score = lo2 if target == "low" else hi2
-                better = cand_score < score if target == "low" else cand_score > score
-                if better:
-                    support, values, score = trial_support, trial_values, cand_score
-                    low, high = lo2, hi2
-            vec = np.zeros(n, dtype=A.dtype)
-            vec[support] = values
-            if target == "low" and low < best_low:
-                best_low = low
-                wit_low = vec / np.linalg.norm(vec)
-            if target == "high" and high > best_high:
-                best_high = high
-                wit_high = vec / np.linalg.norm(vec)
+                cand = _sparse_extremes(A, trial_support, trial_values, keep)[side]
+                if (cand < score) if lower else (cand > score):
+                    support, values, score = trial_support, trial_values, cand
+            if (score < best_low) if lower else (score > best_high):
+                vec = np.zeros(n, dtype=A.dtype)
+                vec[support] = values
+                if lower:
+                    best_low, wit_low = score, vec / np.linalg.norm(vec)
+                else:
+                    best_high, wit_high = score, vec / np.linalg.norm(vec)
 
     return RipEstimate(
         lower_hat=best_low,
@@ -159,13 +189,11 @@ def lifted_map_apply(A, b, H, h) -> np.ndarray:
     H = x x^H, h = x reproduces |<a_j, x> + b_j|^2 - |b_j|^2 for every
     complex bias, consistent with the forward model.
     """
-    A = np.asarray(A)
-    b = np.asarray(b)
-    H = np.asarray(H)
-    h = np.asarray(h)
+    A = _checked("A", A, (None, None))
     m, n = A.shape
-    if H.shape != (n, n) or h.shape != (n,) or b.shape != (m,):
-        raise ValueError("dimension mismatch")
+    b = _checked("b", b, (m,))
+    H = _checked("H", H, (n, n))
+    h = _checked("h", h, (n,))
     scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
     if float(np.max(np.abs(H - H.conj().T))) > 1e-12 * scale:
         raise ValueError("H must be Hermitian")
@@ -179,21 +207,27 @@ def lifted_map_apply(A, b, H, h) -> np.ndarray:
     return np.asarray(out, dtype=np.float64)
 
 
-def _structured_ratio(A, b, x, z):
-    """l1/Frobenius ratio for H = x x^H - z z^H, h = x - z, via matvecs."""
-    m = A.shape[0]
-    h = x - z
-    ax = A @ x
-    az = A @ z
-    vals = np.abs(ax) ** 2 - np.abs(az) ** 2 + 2.0 * np.real(np.conj(b) * (A @ h))
-    xx = float(np.real(np.vdot(x, x)))
-    zz = float(np.real(np.vdot(z, z)))
-    xz = abs(complex(np.vdot(x, z))) ** 2
-    frob2 = xx**2 + zz**2 - 2.0 * xz + 2.0 * float(np.real(np.vdot(h, h)))
-    if frob2 <= 0:
-        return None, 0.0
-    frob = math.sqrt(frob2)
-    return float(np.sum(np.abs(vals))) / (m * frob), frob
+def _ratios(A, conj_b, X, Z):
+    """l1/Frobenius ratios and ||H'||_F for the rows of X and Z.
+
+    Row i gives H = x x^H - z z^H and h = x - z with x = X[i], z = Z[i].
+    The stacked matmul runs one gemv per row, the same call as ``A @ x``, and
+    the inner products are per-row vdots, so each row's ratio is bit-for-bit
+    what the pair alone would give, whatever block it is evaluated in.
+    """
+    Hm = X - Z
+    ax, az, ah = (np.matmul(A, V[:, :, None])[:, :, 0] for V in (X, Z, Hm))
+    vals = np.abs(ax) ** 2 - np.abs(az) ** 2 + 2.0 * np.real(conj_b * ah)
+    frob2 = np.empty(X.shape[0])
+    for i, (x, z, h) in enumerate(zip(X, Z, Hm)):
+        xx = float(np.real(np.vdot(x, x)))
+        zz = float(np.real(np.vdot(z, z)))
+        xz = abs(complex(np.vdot(x, z))) ** 2
+        frob2[i] = xx**2 + zz**2 - 2.0 * xz + 2.0 * float(np.real(np.vdot(h, h)))
+    frob = np.sqrt(np.maximum(frob2, 0.0))
+    l1 = np.abs(vals).sum(axis=1)
+    ratio = np.divide(l1, A.shape[0] * frob, out=np.zeros_like(l1), where=frob > 0.0)
+    return ratio, frob
 
 
 def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
@@ -203,50 +237,58 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
     the rank <= 2 difference H = x x^H - z z^H with h = x - z, and records
     the observed ratio extremes with witnesses.  Draws with ||H'||_F below
     1e-12 are skipped.
+
+    Trial t draws (shared flag, supports, values) from the stream of
+    ``seed.child("ripmap", t)``, one trial after another.  The ratios are
+    evaluated for blocks of up to 64 trials at a time and then scanned in
+    trial order, so the estimate and its witnesses do not depend on the
+    block size.
     """
-    A = np.asarray(A)
-    b = np.asarray(b)
+    A = _checked("A", A, (None, None))
+    m, n = A.shape
+    b = _checked("b", b, (m,))
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m, n = A.shape
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     complex_field = np.iscomplexobj(A)
+    conj_b = np.conj(b)
+
+    def draw(rng, v, sup):
+        if complex_field:
+            v[sup] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        else:
+            v[sup] = rng.standard_normal(k)
 
     best_low = math.inf
     best_high = -math.inf
     wit_low = wit_high = None
     used = 0
+    seeds = _trial_seeds(seed, "ripmap", trials)
 
-    for t in range(trials):
-        rng = seed.child("ripmap", t).rng()
-        shared = bool(rng.integers(0, 2))
-        sup_x = rng.choice(n, size=k, replace=False)
-        if shared:
-            sup_z = sup_x
-        else:
-            sup_z = rng.choice(n, size=k, replace=False)
-
-        def draw(sup):
-            v = np.zeros(n, dtype=A.dtype)
-            if complex_field:
-                v[sup] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            else:
-                v[sup] = rng.standard_normal(k)
-            return v
-
-        x = draw(sup_x)
-        z = draw(sup_z)
-        ratio, frob = _structured_ratio(A, b, x, z)
-        if ratio is None or frob < 1e-12:
-            continue
-        used += 1
-        if ratio < best_low:
-            best_low = ratio
-            wit_low = (x, z)
-        if ratio > best_high:
-            best_high = ratio
-            wit_high = (x, z)
+    for start in range(0, trials, _BLOCK):
+        size = min(_BLOCK, trials - start)
+        X = np.zeros((size, n), dtype=A.dtype)
+        Z = np.zeros((size, n), dtype=A.dtype)
+        for i in range(size):
+            rng = np.random.default_rng(next(seeds))
+            shared = bool(rng.integers(0, 2))
+            sup_x = rng.choice(n, size=k, replace=False)
+            sup_z = sup_x if shared else rng.choice(n, size=k, replace=False)
+            draw(rng, X[i], sup_x)
+            draw(rng, Z[i], sup_z)
+        ratio, frob = _ratios(A, conj_b, X, Z)
+        for i in range(size):
+            if frob[i] < 1e-12:
+                continue
+            used += 1
+            r = float(ratio[i])
+            if r < best_low:
+                best_low = r
+                wit_low = (X[i].copy(), Z[i].copy())
+            if r > best_high:
+                best_high = r
+                wit_high = (X[i].copy(), Z[i].copy())
 
     if used == 0:
         raise ValueError("all sampled H' were degenerate")
@@ -262,10 +304,15 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
 
 def structured_ratio(A, b, x, z) -> float:
     """Ratio for one witness pair; used to re-verify RipEstimate extremes."""
-    ratio, frob = _structured_ratio(np.asarray(A), np.asarray(b), np.asarray(x), np.asarray(z))
-    if ratio is None or frob < 1e-12:
+    A = _checked("A", A, (None, None))
+    m, n = A.shape
+    b = _checked("b", b, (m,))
+    x = _checked("x", x, (n,))
+    z = _checked("z", z, (n,))
+    ratio, frob = _ratios(A, np.conj(b), x[None], z[None])
+    if frob[0] < 1e-12:
         raise ValueError("degenerate witness")
-    return ratio
+    return float(ratio[0])
 
 
 def crossterm_sup(A, b, k: int) -> float:
@@ -274,10 +321,8 @@ def crossterm_sup(A, b, k: int) -> float:
     For a fixed support S the supremum is ||(A^T b)_S||_2, so the top-k
     magnitudes of A^T b are exact.
     """
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 2 or b.shape != (A.shape[0],):
-        raise ValueError("dimension mismatch")
+    A = _checked("A", np.asarray(A, dtype=np.float64), (None, None))
+    b = _checked("b", np.asarray(b, dtype=np.float64), (A.shape[0],))
     if not 1 <= k <= A.shape[1]:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     corr = np.abs(A.T @ b)

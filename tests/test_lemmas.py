@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from affinepr import (
     SeedSpec,
+    SparseDecomposition,
     check_decomposition,
     lifted_distance_check,
     moment_bound_check,
@@ -43,6 +44,51 @@ def test_decompose_preconditions():
         sparse_convex_decompose(np.array([3.0]), 1, 2.0)  # sup norm
     with pytest.raises(ValueError):
         sparse_convex_decompose(np.array([1.0, 1.0, 1.0]), 1, 1.0)  # l1 budget
+
+
+def test_check_decomposition_rejects_each_broken_invariant():
+    v = np.array([1.0, 1.0])
+    good = sparse_convex_decompose(v, 1, 2.0)  # two 1-sparse atoms of weight 1/2
+    broken = {  # message: (weights, atoms, k)
+        "weights outside": ([1.5, -0.5], good.atoms, 1),
+        "do not sum": ([0.5, 0.25], good.atoms, 1),
+        "not k-sparse": (good.weights, [np.array([1.0, 1.0]), np.array([1.0, 1.0])], 1),
+        "sup-norm": (good.weights, [np.array([2.5, 0.0]), np.array([0.0, 2.0])], 1),
+        "l1 budget": (good.weights, [np.array([2.0, 2.0]), np.array([0.0, 0.0])], 2),
+        "reconstruct": (good.weights, [np.array([2.0, 0.0]), np.array([2.0, 0.0])], 1),
+    }
+    check_decomposition(good, v, 1, 2.0)
+    for message, (weights, atoms, k) in broken.items():
+        dec = SparseDecomposition(weights=weights, atoms=atoms, k=k, theta=2.0)
+        with pytest.raises(AssertionError, match=message):
+            check_decomposition(dec, v, k, 2.0)
+
+
+_H2 = np.diag([1.0, -1.0, 0.0]).astype(complex)
+_h3 = np.ones(3, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        pytest.param("v", lambda: sparse_convex_decompose(np.array([np.nan, 0.1]), 1, 1.0), id="nan-v"),
+        pytest.param("v", lambda: sparse_convex_decompose(np.array([0.1, np.inf]), 1, 1.0), id="inf-v"),
+        pytest.param("v", lambda: sparse_convex_decompose(np.zeros((2, 2)), 1, 1.0), id="2d-v"),
+        pytest.param(
+            "H",
+            lambda: moment_bound_check(np.where(_H2 == -1, np.nan, _H2), _h3, 1.0, 1000, SeedSpec(5)),
+            id="nan-H",
+        ),
+        pytest.param("H", lambda: moment_bound_check(_H2[:2], _h3, 1.0, 1000, SeedSpec(5)), id="short-H"),
+        pytest.param(
+            "h", lambda: moment_bound_check(_H2, np.array([1, np.inf, 0j]), 1.0, 1000, SeedSpec(5)), id="inf-h"
+        ),
+        pytest.param("b", lambda: moment_bound_check(_H2, _h3, math.nan, 1000, SeedSpec(5)), id="nan-b"),
+    ],
+)
+def test_lemma_checkers_reject_bad_inputs(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call()
 
 
 def test_decompose_random_sweep():

@@ -156,49 +156,179 @@ def test_rip_ratio_sample_witnesses_and_positivity():
 
 
 def test_rip_ratio_skips_degenerate_draws():
-    ratio, frob = None, None
-    from affinepr.ripcheck import _structured_ratio
+    from affinepr.ripcheck import _ratios
 
     x = np.array([1.0 + 0j, 0.0])
-    ratio, frob = _structured_ratio(np.eye(2) + 0j, np.zeros(2) + 0j, x, x)
-    assert ratio is None or frob < 1e-12
+    _, frob = _ratios(np.eye(2) + 0j, np.zeros(2) + 0j, x[None], x[None])
+    assert frob[0] < 1e-12
+    with pytest.raises(ValueError, match="degenerate"):
+        structured_ratio(np.eye(2) + 0j, np.zeros(2) + 0j, x, x)
 
 
-def test_crossterm_examples():
-    assert crossterm_sup(np.eye(3), np.array([1.0, 0, 0]), 1) == pytest.approx(1.0)
-    assert crossterm_sup(np.eye(3), np.array([1.0, 2.0, 3.0]), 2) == pytest.approx(np.sqrt(13))
+# Straightforward loops that srip_profile and rip_ratio_sample must agree with.
 
 
-def test_crossterm_matches_enumeration():
-    rng = np.random.default_rng(44)
-    for _ in range(30):
-        m = int(rng.integers(2, 8))
-        n = int(rng.integers(2, 11))
-        k = int(rng.integers(1, n + 1))
-        A = rng.standard_normal((m, n))
-        b = rng.standard_normal(m)
-        assert crossterm_sup(A, b, k) == pytest.approx(brute_crossterm(A, b, k), abs=1e-12)
+def reference_srip_profile(A, k, trials, seed, last_coord_free=False, refine_swaps=50):
+    """One stream per trial, a setdiff1d candidate list per swap."""
+    m, n = A.shape
+    head = n - 1 if last_coord_free else n
+    keep = math.ceil(m / 2)
 
+    def draw_values(rng, size):
+        if np.iscomplexobj(A):
+            return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return rng.standard_normal(size)
 
-def test_crossterm_monotone_and_full():
-    rng = np.random.default_rng(45)
-    A = rng.standard_normal((6, 9))
-    b = rng.standard_normal(6)
-    vals = [crossterm_sup(A, b, k) for k in range(1, 10)]
-    assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(np.linalg.norm(A.T @ b))
+    def extremes(support, values):
+        sq = np.abs(A[:, support] @ values) ** 2
+        nx2 = float(np.real(np.vdot(values, values)))
+        part = np.partition(sq, keep - 1)
+        return float(np.sum(part[:keep])) / nx2, float(np.sum(sq)) / nx2
 
-
-def test_crossterm_concentration_rate():
-    # one-sided check of the concentration claim at zeta = 0.5
-    n, k = 64, 3
-    m = int(round(40 * k * math.log(math.e * n / k)))
-    exceed = 0
-    trials = 200
+    best = [math.inf, -math.inf]
+    wit = [None, None]
     for t in range(trials):
-        seed = SeedSpec(46, ("xterm", t))
-        A = seed.rng().standard_normal((m, n))  # rows N(0, I_n)
+        rng = seed.child("srip", t).rng()
+        base_support = np.sort(rng.choice(head, size=k, replace=False))
+        if last_coord_free:
+            base_support = np.append(base_support, head)
+        base_values = draw_values(rng, base_support.size)
+        for side in (0, 1):
+            support, values = base_support.copy(), base_values.copy()
+            score = extremes(support, values)[side]
+            for _ in range(refine_swaps // 2):
+                swap_pos = int(rng.integers(0, k))
+                candidates = np.setdiff1d(np.arange(head), support[:k])
+                if candidates.size == 0:
+                    break
+                new_idx = int(candidates[rng.integers(0, candidates.size)])
+                trial_support = support.copy()
+                trial_support[swap_pos] = new_idx
+                trial_values = values.copy()
+                trial_values[swap_pos] = draw_values(rng, 1)[0]
+                cand = extremes(trial_support, trial_values)[side]
+                if (cand < score) if side == 0 else (cand > score):
+                    support, values, score = trial_support, trial_values, cand
+            if (score < best[0]) if side == 0 else (score > best[1]):
+                vec = np.zeros(n, dtype=A.dtype)
+                vec[support] = values
+                best[side], wit[side] = score, vec / np.linalg.norm(vec)
+    return best, wit
+
+
+def reference_rip_ratio_sample(A, b, k, trials, seed):
+    """One stream and one dense A @ x evaluation per trial."""
+    m, n = A.shape
+    best = [math.inf, -math.inf]
+    wit = [None, None]
+    used = 0
+    for t in range(trials):
+        rng = seed.child("ripmap", t).rng()
+        shared = bool(rng.integers(0, 2))
+        sup_x = rng.choice(n, size=k, replace=False)
+        sup_z = sup_x if shared else rng.choice(n, size=k, replace=False)
+        x = np.zeros(n, dtype=A.dtype)
+        z = np.zeros(n, dtype=A.dtype)
+        for v, sup in ((x, sup_x), (z, sup_z)):
+            if np.iscomplexobj(A):
+                v[sup] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            else:
+                v[sup] = rng.standard_normal(k)
+        h = x - z
+        vals = np.abs(A @ x) ** 2 - np.abs(A @ z) ** 2 + 2.0 * np.real(np.conj(b) * (A @ h))
+        xz = abs(complex(np.vdot(x, z))) ** 2
+        frob2 = np.vdot(x, x).real ** 2 + np.vdot(z, z).real ** 2 - 2.0 * xz + 2.0 * np.vdot(h, h).real
+        if frob2 <= 0 or math.sqrt(frob2) < 1e-12:
+            continue
+        used += 1
+        ratio = float(np.sum(np.abs(vals))) / (m * math.sqrt(frob2))
+        if ratio < best[0]:
+            best[0], wit[0] = ratio, (x, z)
+        if ratio > best[1]:
+            best[1], wit[1] = ratio, (x, z)
+    return best, wit, used
+
+
+@pytest.mark.parametrize(
+    "field,m,n,k,last_coord_free",
+    [
+        ("real", 24, 16, 2, False),
+        ("real", 18, 11, 3, True),
+        ("complex", 20, 12, 2, False),
+        ("real", 9, 3, 3, False),  # head == k: no swap candidates
+        ("real", 9, 4, 3, True),  # head == k with the free last coordinate
+    ],
+)
+def test_srip_profile_matches_reference_loop(field, m, n, k, last_coord_free):
+    gen = gen_real_gaussian_matrix if field == "real" else gen_complex_gaussian_matrix
+    A = gen(m, n, SeedSpec(60, (field, m, n)))
+    seed = SeedSpec(61, (field, k))
+    est = srip_profile(A, k, 25, seed, last_coord_free=last_coord_free, refine_swaps=12)
+    (low, high), (wit_low, wit_high) = reference_srip_profile(
+        A, k, 25, seed, last_coord_free=last_coord_free, refine_swaps=12
+    )
+    assert (est.lower_hat, est.upper_hat) == (low, high)
+    assert np.array_equal(est.witness_lower, wit_low)
+    assert np.array_equal(est.witness_upper, wit_high)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rip_ratio_sample_matches_reference_loop(field):
+    m, n, k, trials = 40, 12, 2, 150  # 150 trials: two full blocks and a partial one
+    seed = SeedSpec(62, (field,))
+    if field == "real":
+        A = gen_real_gaussian_matrix(m, n, seed.child("A"))
         b = seed.child("b").rng().standard_normal(m)
-        if crossterm_sup(A, b, k) >= 0.5 * math.sqrt(m) * np.linalg.norm(b):
-            exceed += 1
-    assert exceed <= 0.05 * trials
+    else:
+        ens = make_ensemble("complex", m, n, seed.child("A"))
+        A, b = ens.A, ens.b
+    est = rip_ratio_sample(A, b, k, trials, seed)
+    (low, high), (wit_low, wit_high), used = reference_rip_ratio_sample(A, b, k, trials, seed)
+    assert est.samples == used == trials
+    assert (est.lower_hat, est.upper_hat) == (low, high)
+    for got, want in ((est.witness_lower, wit_low), (est.witness_upper, wit_high)):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _bad_inputs():
+    """(name the error must start with, call) pairs, one bad input each."""
+    A = gen_real_gaussian_matrix(12, 6, SeedSpec(63))
+    b = np.ones(12)
+    x = np.ones(6)
+    H = np.eye(6)
+    seed = SeedSpec(64)
+
+    def spoil(arr, index, value):
+        out = np.array(arr, dtype=float)
+        out[index] = value
+        return out
+
+    nan_A, inf_A = spoil(A, (3, 2), np.nan), spoil(A, (0, 0), np.inf)
+    nan_b, nan_x = spoil(b, 5, np.nan), spoil(x, 1, np.nan)
+    cases = {
+        "srip_profile-nan-A": ("A", lambda: srip_profile(nan_A, 2, 5, seed)),
+        "srip_profile-1d-A": ("A", lambda: srip_profile(A[0], 2, 5, seed)),
+        "srip_profile-negative-swaps": (
+            "refine_swaps",
+            lambda: srip_profile(A, 2, 5, seed, refine_swaps=-1),
+        ),
+        "rip_ratio_sample-inf-A": ("A", lambda: rip_ratio_sample(inf_A, b, 2, 5, seed)),
+        "rip_ratio_sample-nan-b": ("b", lambda: rip_ratio_sample(A, nan_b, 2, 5, seed)),
+        "rip_ratio_sample-short-b": ("b", lambda: rip_ratio_sample(A, b[:-1], 2, 5, seed)),
+        "srip_extremes_for_x-nan-A": ("A", lambda: srip_extremes_for_x(nan_A, x)),
+        "srip_extremes_for_x-nan-x": ("x", lambda: srip_extremes_for_x(A, nan_x)),
+        "srip_extremes_for_x-short-x": ("x", lambda: srip_extremes_for_x(A, x[:-1])),
+        "structured_ratio-nan-x": ("x", lambda: structured_ratio(A, b, nan_x, x)),
+        "crossterm_sup-inf-A": ("A", lambda: crossterm_sup(inf_A, b, 2)),
+        "crossterm_sup-nan-b": ("b", lambda: crossterm_sup(A, nan_b, 2)),
+        "lifted_map_apply-nan-H": ("H", lambda: lifted_map_apply(A, b, spoil(H, (2, 2), np.nan), x)),
+        "lifted_map_apply-inf-h": ("h", lambda: lifted_map_apply(A, b, H, spoil(x, 4, -np.inf))),
+        "lifted_map_apply-short-b": ("b", lambda: lifted_map_apply(A, b[:-1], H, x)),
+    }
+    return [pytest.param(name, call, id=case) for case, (name, call) in cases.items()]
+
+
+@pytest.mark.parametrize("name,call", _bad_inputs())
+def test_isometry_checkers_reject_bad_inputs(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call()
