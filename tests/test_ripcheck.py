@@ -165,6 +165,46 @@ def test_rip_ratio_skips_degenerate_draws():
         structured_ratio(np.eye(2) + 0j, np.zeros(2) + 0j, x, x)
 
 
+def test_crossterm_examples():
+    assert crossterm_sup(np.eye(3), np.array([1.0, 0, 0]), 1) == pytest.approx(1.0)
+    assert crossterm_sup(np.eye(3), np.array([1.0, 2.0, 3.0]), 2) == pytest.approx(np.sqrt(13))
+
+
+def test_crossterm_matches_enumeration():
+    rng = np.random.default_rng(44)
+    for _ in range(30):
+        m = int(rng.integers(2, 8))
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, n + 1))
+        A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        assert crossterm_sup(A, b, k) == pytest.approx(brute_crossterm(A, b, k), abs=1e-12)
+
+
+def test_crossterm_monotone_and_full():
+    rng = np.random.default_rng(45)
+    A = rng.standard_normal((6, 9))
+    b = rng.standard_normal(6)
+    vals = [crossterm_sup(A, b, k) for k in range(1, 10)]
+    assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
+    assert vals[-1] == pytest.approx(np.linalg.norm(A.T @ b))
+
+
+def test_crossterm_concentration_rate():
+    # one-sided check of the concentration claim at zeta = 0.5
+    n, k = 64, 3
+    m = int(round(40 * k * math.log(math.e * n / k)))
+    exceed = 0
+    trials = 200
+    for t in range(trials):
+        seed = SeedSpec(46, ("xterm", t))
+        A = seed.rng().standard_normal((m, n))  # rows N(0, I_n)
+        b = seed.child("b").rng().standard_normal(m)
+        if crossterm_sup(A, b, k) >= 0.5 * math.sqrt(m) * np.linalg.norm(b):
+            exceed += 1
+    assert exceed <= 0.05 * trials
+
+
 # Straightforward loops that srip_profile and rip_ratio_sample must agree with.
 
 
