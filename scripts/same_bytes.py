@@ -9,13 +9,20 @@ working tree.  Each tree runs in its own fresh interpreter, which imports
 
 * the six experiment configs of acceptance criterion 12 (phase grid, noise
   curve, impossibility demo, srip, ripmap, lemma suite);
-* every config of the benchmark's ``isometry`` workload, read from
-  ``perfbench/workloads.py``, for the benchmark's ``default`` and ``heldout``
-  seeds (99 outputs per seed).
+* every config of the benchmark's ``isometry`` and ``real-grid`` workloads,
+  read from ``perfbench/workloads.py``, for the benchmark's ``default`` and
+  ``heldout`` seeds (100 outputs per seed);
+* a real phase grid with ``restarts=4`` and a complex phase grid (n=32, k=2,
+  m=112) with ``restarts=3``, which run the random-pattern restart chains and
+  the phase loop.
 
-It prints the SHA-256 of every output for both trees side by side and exits
-with status 1 if any output differs, 0 if all are identical.  It writes
-nothing under ``perfbench/``; outputs go to a temporary directory.
+Every experiment that solves also gets a ``<name> solves`` digest over each
+solve's report (``xhat`` bytes, objective, feasibility, iteration counts,
+winning restart, termination and trace), so a change below the CSV's 12
+printed digits still shows.  It prints the SHA-256 of every output for both
+trees side by side and exits with status 1 if any output differs, 0 if all
+are identical.  It writes nothing under ``perfbench/``; outputs go to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -96,8 +103,35 @@ CRITERION_12 = {
     },
 }
 
+# Grids that reach the random restart chains (restarts > 2) and the complex
+# phase loop; no other config here does.
+SOLVER_GRIDS = {
+    "real-restarts4.csv": {
+        "experiment": "phase_grid",
+        "field": "real",
+        "n": 32,
+        "k_list": [2],
+        "m_list": [40, 72],
+        "trials_per_cell": 6,
+        "bias": {"kind": "constant", "c": 1.0},
+        "master_seed": 41,
+        "solver": {"restarts": 4, "restart_seed": 5},
+    },
+    "complex-restarts3.csv": {
+        "experiment": "phase_grid",
+        "field": "complex",
+        "n": 32,
+        "k_list": [2],
+        "m_list": [112],
+        "trials_per_cell": 10,
+        "bias": {"kind": "complex_gaussian"},
+        "master_seed": 42,
+        "solver": {"restarts": 3, "restart_seed": 6},
+    },
+}
+
 # Runs in a fresh interpreter with PYTHONPATH set to one tree's src.
-# argv: src directory, repository root, output directory, criterion-12 configs.
+# argv: src directory, repository root, output directory, fixed configs.
 CHILD = r"""
 import hashlib, importlib.util, json, os, sys
 sys.dont_write_bytecode = True
@@ -119,6 +153,21 @@ jobs = list(jobs.items())
 for label in ("default", "heldout"):
     configs = workloads.isometry_configs(seeds[label])
     jobs += [(f"isometry-{label}-{i:02d}-{c['experiment']}", c) for i, c in enumerate(configs)]
+    configs = workloads.real_grid_configs(seeds[label])
+    jobs += [(f"real-grid-{label}-{i}.csv", c) for i, c in enumerate(configs)]
+
+solves = []
+def recording(solve):
+    def wrapped(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        fields = (rep.objective, rep.feasibility, rep.outer_iters, rep.inner_iters_total,
+                  rep.restart_index_of_best, rep.termination, rep.trace, rep.clipped_intensities)
+        solves.append(rep.xhat.tobytes() + repr(fields).encode())
+        return rep
+    return wrapped
+# The harness calls the solvers through its own namespace.
+harness.solve_affine_pr_real = recording(harness.solve_affine_pr_real)
+harness.solve_affine_pr_complex = recording(harness.solve_affine_pr_complex)
 run = {
     "phase_grid": harness.run_phase_grid,
     "noise_curve": harness.run_noise_curve,
@@ -131,9 +180,12 @@ digests = {}
 for name, cfg in jobs:
     path = os.path.join(out_dir, name)
     config = harness.ExperimentConfig.from_dict(dict(cfg, output_path=path))
+    solves.clear()
     run[config.experiment](config)
     with open(path, "rb") as fh:
         digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    if solves:
+        digests[name + " solves"] = hashlib.sha256(b"".join(solves)).hexdigest()
 print(json.dumps(digests))
 """
 
@@ -143,9 +195,10 @@ def digests(src: str) -> dict:
     if not os.path.isfile(os.path.join(src, "affinepr", "__init__.py")):
         raise SystemExit(f"no affinepr package under {src}")
     env = dict(os.environ, PYTHONPATH=src)
+    jobs = json.dumps(CRITERION_12 | SOLVER_GRIDS)
     with tempfile.TemporaryDirectory() as out_dir:
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, src, ROOT, out_dir, json.dumps(CRITERION_12)],
+            [sys.executable, "-c", CHILD, src, ROOT, out_dir, jobs],
             cwd=out_dir,
             env=env,
             capture_output=True,

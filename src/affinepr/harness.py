@@ -48,6 +48,7 @@ PHASE_GRID_HEADER = "m,k,trials,successes,wilson_lo,wilson_hi,median_err,median_
 NOISE_CURVE_HEADER = "epsilon,trials,successes,wilson_lo,wilson_hi,median_err,median_phase_err,wall_ms"
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_SUCCESS_TOL = 1e-5  # success: relative error, or global-phase error / (1 + ||x0||) if complex
 
 
 class InstanceFormatError(ValueError):
@@ -197,9 +198,9 @@ def _run_trial(config: ExperimentConfig, m: int, k: int, epsilon: float, trial: 
     met = error_metrics(report.xhat, inst.x0)
     gap = report.objective - float(np.sum(np.abs(inst.x0)))
     if config.field == REAL:
-        success = met.relative_plain <= opts.success_tol
+        success = met.relative_plain <= _SUCCESS_TOL
     else:
-        success = met.global_phase <= opts.success_tol * (float(np.linalg.norm(inst.x0)) + 1.0)
+        success = met.global_phase <= _SUCCESS_TOL * (float(np.linalg.norm(inst.x0)) + 1.0)
     return TrialResult(met.plain_l2, met.relative_plain, met.global_phase, gap, success)
 
 

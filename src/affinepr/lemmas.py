@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ripcheck import _checked
+from .model import _checked
 from .rng import SeedSpec
 
 

@@ -28,6 +28,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked(name: str, arr, shape: tuple) -> np.ndarray:
+    """``arr`` as an array of ``shape`` (``None`` matches any length), all finite."""
+    arr = np.asarray(arr)
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
 def as_signal(entries, field: str) -> np.ndarray:
     """Coerce ``entries`` to a 1-d signal array of the requested field.
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .model import _checked
 from .rng import SeedSpec, _splitmix64
 
 # Trials whose ratios are evaluated together: enough to keep BLAS busy
@@ -36,16 +37,6 @@ class RipEstimate:
     witness_lower: object
     witness_upper: object
     config: dict = dc_field(default_factory=dict)
-
-
-def _checked(name: str, arr, shape: tuple) -> np.ndarray:
-    """``arr`` as an array of ``shape`` (``None`` matches any length), all finite."""
-    arr = np.asarray(arr)
-    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
 
 
 def _trial_seeds(seed: SeedSpec, label: str, trials: int):

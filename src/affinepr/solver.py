@@ -11,7 +11,7 @@ rank(A) = n the feasible set is a single point or empty, so the call returns
 A^+ c with no ADMM.  Otherwise the exact x-update (I + D^H D)^-1 is one
 matrix-vector product with I - V diag(s^2/(1 + s^2)) V^H, or I - V V^H/2
 once a consistent eps = 0 system is whitened to the rows V^H; it does not
-depend on the penalty, so the self-adaptive penalty costs nothing.  The
+depend on the ADMM step rho, so adapting rho costs nothing.  The
 outer loops exploit the identity
 
     ||diag(s)(A x + b) - y||_2 = ||A x - (s*y - b)||_2
@@ -39,34 +39,38 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import COMPLEX, REAL, MeasurementEnsemble, lifted_intensity
+from .model import COMPLEX, REAL, MeasurementEnsemble, _checked, lifted_intensity
 from .rng import SeedSpec
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Settings of one solve, and the keys of the JSON ``solver`` config.
+
+    outer_max: outer sign/phase steps per restart chain.
+    inner_max: ADMM cap of a full BPDN call; outer steps cap at 600, flip probes at 300.
+    inner_tol: ADMM tolerance on the residuals, relative to 1 + ||c||.
+    restarts: chains: the bias anchor, the anchor on a slower homotopy, then random patterns.
+    mode: "magnitude" data y = |A x + b|, or "intensity" ytilde = |A x + b|^2 (complex only).
+    restart_seed: seed of the random restart patterns.
+    flip_candidates: lowest-margin sign flips a real solve retries; 0 skips flip descent.
+    """
+
     outer_max: int = 100
     inner_max: int = 2000
     inner_tol: float = 1e-9
     restarts: int = 10
-    penalty: float = 1.0
-    success_tol: float = 1e-5
     mode: str = "magnitude"
     restart_seed: int = 0
-    homotopy_shrink: float = 0.9
-    homotopy_steps: int = 8
-    trust_ratio: float = 5.0
     flip_candidates: int = 6
 
     def __post_init__(self):
         if min(self.outer_max, self.inner_max, self.restarts) < 1:
             raise ValueError("iteration and restart counts must be >= 1")
-        if self.inner_tol <= 0 or self.penalty <= 0 or self.success_tol <= 0:
-            raise ValueError("tolerances and penalty must be positive")
-        if not 0 < self.homotopy_shrink < 1:
-            raise ValueError("homotopy_shrink must lie in (0, 1)")
-        if self.homotopy_steps < 1 or self.flip_candidates < 0:
-            raise ValueError("homotopy_steps must be >= 1, flip_candidates >= 0")
+        if self.inner_tol <= 0:
+            raise ValueError("inner_tol must be positive")
+        if self.flip_candidates < 0:
+            raise ValueError("flip_candidates must be >= 0")
         if self.mode not in ("magnitude", "intensity"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
 
@@ -141,12 +145,6 @@ def _thin_svd(D) -> _Svd:
     return _Svd(U[:, keep], s[keep], Vh[keep])
 
 
-def _require_finite(**arrays) -> None:
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} has non-finite entries")
-
-
 def bpdn(
     D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None, *, svd: _Svd | None = None
 ) -> BpdnResult:
@@ -165,13 +163,10 @@ def bpdn(
     opts = opts or SolverOptions()
     if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
-    D = np.asarray(D)
-    c = np.asarray(c)
-    if D.ndim != 2 or c.shape != (D.shape[0],):
-        raise ValueError("dimension mismatch between D and c")
+    D = _checked("D", D, (None, None))
+    c = _checked("c", c, (D.shape[0],))
     if np.iscomplexobj(c) and not np.iscomplexobj(D):
         raise ValueError("field mismatch between D and c")
-    _require_finite(D=D, c=c)
     m, n = D.shape
     cnorm = float(np.linalg.norm(c))
     if epsilon >= cnorm:
@@ -204,7 +199,7 @@ def bpdn(
     r = _project_ball(D @ x, c, epsilon)
     u_z = np.zeros(n, dtype=dtype)
     u_r = np.zeros(m, dtype=dtype)
-    rho = opts.penalty
+    rho = 1.0
     tol = opts.inner_tol * (1.0 + float(np.linalg.norm(c)))
 
     it = 0
@@ -283,7 +278,19 @@ class _RestartOutcome:
         return self.trace[-1][1]
 
 
-def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts, svd: _Svd):
+class _Schedule(NamedTuple):
+    """Burn-in homotopy: lam factor and ISTA steps per level, residual trust ratio."""
+
+    shrink: float
+    steps: int
+    trust: float
+
+
+_FAST = _Schedule(0.9, 8, 5.0)  # the anchor chain and every random chain
+_SLOW = _Schedule(0.95, 10, 3.0)  # the second chain: same anchor, finer homotopy
+
+
+def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule: _Schedule, svd: _Svd):
     """Proximal-gradient homotopy that forms the support and sign pattern.
 
     Runs ISTA steps on 0.5 ||A x - (u*y - b)||^2 + lam ||x||_1 while the
@@ -291,7 +298,7 @@ def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts, svd: _Svd):
     lam from its zero-solution threshold down by seven decades.  During the
     first ``freeze_levels`` homotopy levels u is pinned at u0 so random
     restarts explore distinct basins.  Residual entries whose current
-    magnitude is below y/(1 + trust_ratio) are dropped: their pattern
+    magnitude is below y/(1 + schedule.trust) are dropped: their pattern
     estimate is uninformative.
     """
     m, n = A.shape
@@ -309,20 +316,20 @@ def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts, svd: _Svd):
     level = 0
     while lam > lam_min:
         frozen = level < freeze_levels
-        for _ in range(opts.homotopy_steps):
+        for _ in range(schedule.steps):
             v = A @ x + b
             if not frozen:
                 u = _unit_pattern(v)
             resid = v - u * y_target
             if not frozen:
-                resid = resid * (np.abs(v) >= y_target / (1.0 + opts.trust_ratio))
+                resid = resid * (np.abs(v) >= y_target / (1.0 + schedule.trust))
             x = _soft_threshold(x - step * (Ah @ resid), step * lam)
-        lam *= opts.homotopy_shrink
+        lam *= schedule.shrink
         level += 1
     return x, _unit_pattern(A @ x + b)
 
 
-def _run_restart(A, b, epsilon, opts, u0, freeze_levels, feas_fn, y_target, svd: _Svd):
+def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd):
     """Burn-in followed by the alternating constrained iteration.
 
     Regular outer steps use a capped inner budget (a wrong pattern in the
@@ -330,7 +337,7 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, feas_fn, y_target, svd:
     a candidate fixed point is confirmed with a full-tolerance solve.
     """
     complex_field = np.iscomplexobj(A)
-    x, u = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, opts, svd)
+    x, u = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd)
     capped = replace(opts, inner_max=min(600, opts.inner_max))
     inner_total = 0
     trace = []
@@ -451,21 +458,18 @@ def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target):
     complex_field = np.iscomplexobj(A)
     rng = SeedSpec(opts.restart_seed & ((1 << 64) - 1), ("solver", "restarts")).rng()
     anchor = _unit_pattern(b)
-    chains = [(anchor, 0, opts)]
+    chains = [(anchor, 0, _FAST)]
     if opts.restarts >= 2:
-        slow = replace(
-            opts, homotopy_shrink=0.95, homotopy_steps=max(opts.homotopy_steps, 10), trust_ratio=3.0
-        )
-        chains.append((anchor, 0, slow))
+        chains.append((anchor, 0, _SLOW))
     for _ in range(opts.restarts - len(chains)):
         if complex_field:
-            chains.append((np.exp(2j * np.pi * rng.random(A.shape[0])), _FREEZE_LEVELS, opts))
+            chains.append((np.exp(2j * np.pi * rng.random(A.shape[0])), _FREEZE_LEVELS, _FAST))
         else:
-            chains.append((rng.choice([-1.0, 1.0], size=A.shape[0]), _FREEZE_LEVELS, opts))
+            chains.append((rng.choice([-1.0, 1.0], size=A.shape[0]), _FREEZE_LEVELS, _FAST))
     svd = _thin_svd(A)
     outcomes = []
-    for u0, freeze, chain_opts in chains:
-        out = _run_restart(A, b, epsilon, chain_opts, u0, freeze, feas_fn, y_target, svd)
+    for u0, freeze, schedule in chains:
+        out = _run_restart(A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd)
         if not complex_field:
             out = _flip_descent(A, b, y_target, epsilon, opts, out, feas_fn, svd)
         outcomes.append(out)
@@ -479,7 +483,7 @@ def _select_report(outcomes, epsilon, scale: float = 1.0) -> SolveReport:
     o = outcomes[best]
     return SolveReport(
         xhat=o.xhat,
-        objective=float(np.sum(np.abs(o.xhat))),
+        objective=o.objective,
         feasibility=o.feasibility,
         outer_iters=len(o.trace),
         inner_iters_total=sum(r.inner_iters for r in outcomes),
@@ -489,43 +493,15 @@ def _select_report(outcomes, epsilon, scale: float = 1.0) -> SolveReport:
     )
 
 
-def solve_affine_pr_real(
-    ensemble: MeasurementEnsemble, y, epsilon: float, opts: SolverOptions | None = None
-) -> SolveReport:
-    """Recover a real signal from y = |A x + b| + w by alternating signs."""
+def _solve(ensemble, data, epsilon, opts, field: str, data_name: str) -> SolveReport:
     opts = opts or SolverOptions()
-    if ensemble.field != REAL:
-        raise ValueError("real solver requires a real ensemble")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (ensemble.m,):
-        raise ValueError("y has wrong length")
-    A, b = ensemble.A, ensemble.b
-    _require_finite(A=A, b=b, y=y)
-
-    def feas(x):
-        return float(np.linalg.norm(np.abs(A @ x + b) - y))
-
-    outcomes = _solve_restarts(A, b, epsilon, opts, feas, y)
-    return _select_report(outcomes, epsilon, scale=1.0 + float(np.linalg.norm(y)))
-
-
-def solve_affine_pr_complex(
-    ensemble: MeasurementEnsemble, y_or_ytilde, epsilon: float, opts: SolverOptions | None = None
-) -> SolveReport:
-    """Recover a complex signal by alternating phases.
-
-    mode='magnitude' treats the data as y = |A x + b| + w; mode='intensity'
-    treats it as ytilde = |A x + b|^2 + w, with feasibility measured in the
-    intensity domain and the inner target built from sqrt(max(ytilde, 0)).
-    """
-    opts = opts or SolverOptions()
-    if ensemble.field != COMPLEX:
-        raise ValueError("complex solver requires a complex ensemble")
-    data = np.asarray(y_or_ytilde, dtype=np.float64)
-    if data.shape != (ensemble.m,):
-        raise ValueError("observation vector has wrong length")
-    A, b = ensemble.A, ensemble.b
-    _require_finite(A=A, b=b, y_or_ytilde=data)
+    if ensemble.field != field:
+        raise ValueError(f"{field} solver requires a {field} ensemble")
+    if field == REAL and opts.mode != "magnitude":
+        raise ValueError(f"mode {opts.mode!r} needs complex data; the real solver takes magnitudes")
+    A = _checked("A", ensemble.A, (None, None))
+    b = _checked("b", ensemble.b, (A.shape[0],))
+    data = _checked(data_name, np.asarray(data, dtype=np.float64), (A.shape[0],))
 
     clipped = 0
     if opts.mode == "intensity":
@@ -545,6 +521,25 @@ def solve_affine_pr_complex(
     report = _select_report(outcomes, epsilon, scale=1.0 + float(np.linalg.norm(data)))
     report.clipped_intensities = clipped
     return report
+
+
+def solve_affine_pr_real(
+    ensemble: MeasurementEnsemble, y, epsilon: float, opts: SolverOptions | None = None
+) -> SolveReport:
+    """Recover a real signal from y = |A x + b| + w by alternating signs (magnitude mode only)."""
+    return _solve(ensemble, y, epsilon, opts, REAL, "y")
+
+
+def solve_affine_pr_complex(
+    ensemble: MeasurementEnsemble, y_or_ytilde, epsilon: float, opts: SolverOptions | None = None
+) -> SolveReport:
+    """Recover a complex signal by alternating phases.
+
+    mode='magnitude' treats the data as y = |A x + b| + w; mode='intensity'
+    treats it as ytilde = |A x + b|^2 + w, with feasibility measured in the
+    intensity domain and the inner target built from sqrt(max(ytilde, 0)).
+    """
+    return _solve(ensemble, y_or_ytilde, epsilon, opts, COMPLEX, "y_or_ytilde")
 
 
 def brute_force_bp_oracle(D, c, atol: float = 1e-9) -> tuple[float, np.ndarray]:

@@ -8,6 +8,7 @@ import pytest
 from affinepr import (
     ExperimentConfig,
     SeedSpec,
+    SolverOptions,
     load_instance,
     make_instance,
     regenerate_instance,
@@ -40,6 +41,24 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"experiment": "phase_grid", "bogus": 1})
     with pytest.raises(ValueError, match="unknown solver option"):
         ExperimentConfig.from_dict({"experiment": "phase_grid", "solver": {"nope": 2}})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("penalty", 3.0),
+        ("success_tol", 0.5),
+        ("homotopy_shrink", 0.95),
+        ("homotopy_steps", 10),
+        ("trust_ratio", 0.5),
+    ],
+)
+def test_config_rejects_removed_solver_keys(key, value):
+    # These are fixed constants of the solver and the harness, not options.
+    with pytest.raises(ValueError, match="unknown solver option keys"):
+        ExperimentConfig.from_dict({"experiment": "phase_grid", "solver": {key: value}})
+    with pytest.raises(TypeError):
+        SolverOptions(**{key: value})
 
 
 def test_config_validation_errors():

@@ -307,6 +307,14 @@ def test_intensity_clipping_logged():
     assert rep.clipped_intensities == 1
 
 
+def test_real_solver_rejects_intensity_mode():
+    # Intensities handed to the real solver used to be read as magnitudes.
+    inst = make_instance("real", 16, 2, 40, SeedSpec(3), with_intensity=True)
+    opts = SolverOptions(restarts=1, mode="intensity")
+    with pytest.raises(ValueError, match="mode 'intensity'"):
+        solve_affine_pr_real(inst.ensemble, inst.ytilde, 0.0, opts)
+
+
 def test_field_mismatch_errors():
     real_inst = make_instance("real", 6, 1, 5, SeedSpec(14))
     complex_inst = make_instance("complex", 6, 1, 5, SeedSpec(15))
