@@ -1,4 +1,5 @@
-"""Check that two source trees write byte-identical experiment outputs.
+"""Check that two source trees write byte-identical experiment outputs and
+recover the same trials.
 
     python3 scripts/same_bytes.py OLD_SRC NEW_SRC
 
@@ -14,14 +15,19 @@ working tree.  Each tree runs in its own fresh interpreter, which imports
   ``heldout`` seeds (100 outputs per seed);
 * a real phase grid with ``restarts=4`` and a complex phase grid (n=32, k=2,
   m=112) with ``restarts=3``, which run the random-pattern restart chains and
-  the phase loop.
+  the phase loop;
+* the m=40 cell of acceptance criterion 2 (100 trials), read from
+  ``tests/fixtures/calibration.json``.
 
-Every experiment that solves also gets a ``<name> solves`` digest over each
-solve's report (``xhat`` bytes, objective, feasibility, iteration counts,
-winning restart, termination and trace), so a change below the CSV's 12
-printed digits still shows.  It prints the SHA-256 of every output for both
-trees side by side and exits with status 1 if any output differs, 0 if all
-are identical.  It writes nothing under ``perfbench/``; outputs go to a
+Every experiment that solves also gets a ``<name> solves m=<m>`` digest per
+number of measurements m over each solve's report (``xhat`` bytes,
+objective, feasibility, iteration counts, winning restart, termination and
+trace), so a change below the CSV's 12 printed digits still shows, and a
+change confined to some m shows which.  It prints the SHA-256 of every
+output for both trees side by side.  It also records every trial's success
+flag in each grid cell and lists each trial whose flag differs between the
+trees.  It exits with status 1 if any output or flag differs, 0 if all are
+identical.  It writes nothing under ``perfbench/``; outputs go to a
 temporary directory.
 """
 
@@ -130,8 +136,27 @@ SOLVER_GRIDS = {
     },
 }
 
+
+def criterion_2_cell() -> dict:
+    """The m=40 cell of tests/test_acceptance.py::test_criterion_02_real_exact_recovery."""
+    with open(os.path.join(ROOT, "tests", "fixtures", "calibration.json"), encoding="utf-8") as fh:
+        fx = json.load(fh)["real_exact"]
+    return {
+        "experiment": "phase_grid",
+        "field": "real",
+        "n": fx["n"],
+        "k_list": [fx["k"]],
+        "m_list": [40],
+        "trials_per_cell": fx["trials"],
+        "bias": {"kind": "constant", "c": fx["bias_c"]},
+        "master_seed": fx["master_seed"],
+        "solver": fx["solver"],
+    }
+
+
 # Runs in a fresh interpreter with PYTHONPATH set to one tree's src.
 # argv: src directory, repository root, output directory, fixed configs.
+# Prints one JSON line: {"digests": {output: sha256}, "flags": {cell: "0110..."}}.
 CHILD = r"""
 import hashlib, importlib.util, json, os, sys
 sys.dont_write_bytecode = True
@@ -156,18 +181,26 @@ for label in ("default", "heldout"):
     configs = workloads.real_grid_configs(seeds[label])
     jobs += [(f"real-grid-{label}-{i}.csv", c) for i, c in enumerate(configs)]
 
-solves = []
+solves = {}  # m -> report bytes of each solve with m measurements
 def recording(solve):
-    def wrapped(*args, **kwargs):
-        rep = solve(*args, **kwargs)
+    def wrapped(ensemble, *args, **kwargs):
+        rep = solve(ensemble, *args, **kwargs)
         fields = (rep.objective, rep.feasibility, rep.outer_iters, rep.inner_iters_total,
                   rep.restart_index_of_best, rep.termination, rep.trace, rep.clipped_intensities)
-        solves.append(rep.xhat.tobytes() + repr(fields).encode())
+        solves.setdefault(ensemble.m, []).append(rep.xhat.tobytes() + repr(fields).encode())
         return rep
     return wrapped
-# The harness calls the solvers through its own namespace.
+cells = []  # (m, k, epsilon, flags) of each grid cell the current job runs
+def flagging(run_cell):
+    def wrapped(config, m, k, epsilon):
+        cell, trials = run_cell(config, m, k, epsilon)
+        cells.append((m, k, epsilon, "".join("1" if t.success else "0" for t in trials)))
+        return cell, trials
+    return wrapped
+# The harness calls the solvers and run_cell through its own namespace.
 harness.solve_affine_pr_real = recording(harness.solve_affine_pr_real)
 harness.solve_affine_pr_complex = recording(harness.solve_affine_pr_complex)
+harness.run_cell = flagging(harness.run_cell)
 run = {
     "phase_grid": harness.run_phase_grid,
     "noise_curve": harness.run_noise_curve,
@@ -176,26 +209,30 @@ run = {
     "ripmap": harness.run_ripmap,
     "lemma_suite": harness.run_lemma_suite,
 }
-digests = {}
+digests, flags = {}, {}
 for name, cfg in jobs:
     path = os.path.join(out_dir, name)
     config = harness.ExperimentConfig.from_dict(dict(cfg, output_path=path))
     solves.clear()
+    cells.clear()
     run[config.experiment](config)
     with open(path, "rb") as fh:
         digests[name] = hashlib.sha256(fh.read()).hexdigest()
-    if solves:
-        digests[name + " solves"] = hashlib.sha256(b"".join(solves)).hexdigest()
-print(json.dumps(digests))
+    for m in sorted(solves):
+        digests[f"{name} solves m={m}"] = hashlib.sha256(b"".join(solves[m])).hexdigest()
+    for m, k, epsilon, bits in cells:
+        flags[f"{name} m={m} k={k} eps={epsilon!r}"] = bits
+print(json.dumps({"digests": digests, "flags": flags}))
 """
 
 
-def digests(src: str) -> dict:
+def outcomes(src: str) -> dict:
+    """Output digests and per-cell success flags of one tree."""
     src = os.path.abspath(src)
     if not os.path.isfile(os.path.join(src, "affinepr", "__init__.py")):
         raise SystemExit(f"no affinepr package under {src}")
     env = dict(os.environ, PYTHONPATH=src)
-    jobs = json.dumps(CRITERION_12 | SOLVER_GRIDS)
+    jobs = json.dumps(CRITERION_12 | SOLVER_GRIDS | {"criterion-2-m40.csv": criterion_2_cell()})
     with tempfile.TemporaryDirectory() as out_dir:
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, src, ROOT, out_dir, jobs],
@@ -213,15 +250,28 @@ def main(argv: list) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    old, new = (digests(src) for src in argv)
+    old, new = (outcomes(src) for src in argv)
     differ = 0
-    for name in sorted(old.keys() | new.keys()):
-        a, b = old.get(name, "-"), new.get(name, "-")
+    for name in sorted(old["digests"].keys() | new["digests"].keys()):
+        a, b = old["digests"].get(name, "-"), new["digests"].get(name, "-")
         same = a == b
         differ += not same
-        print(f"{'same' if same else 'DIFF'}  {name:34s} {a}  {b}")
-    print(f"{len(old)} outputs, {differ} differ")
-    return 1 if differ else 0
+        print(f"{'same' if same else 'DIFF'}  {name:44s} {a}  {b}")
+    print(f"{len(old['digests'])} outputs, {differ} differ")
+    trials = moved = 0
+    for cell in sorted(old["flags"].keys() | new["flags"].keys()):
+        a, b = old["flags"].get(cell, ""), new["flags"].get(cell, "")
+        trials += max(len(a), len(b))
+        if len(a) != len(b):
+            moved += max(len(a), len(b))
+            print(f"FLAG  {cell}: {len(a)} trials against {len(b)}")
+            continue
+        for t, (fa, fb) in enumerate(zip(a, b)):
+            if fa != fb:
+                moved += 1
+                print(f"FLAG  {cell} trial {t}: success {fa} -> {fb}")
+    print(f"{trials} trial flags, {moved} differ")
+    return 1 if differ or moved else 0
 
 
 if __name__ == "__main__":

@@ -179,6 +179,7 @@ def _bias_for(config: ExperimentConfig):
 
 def _run_trial(config: ExperimentConfig, m: int, k: int, epsilon: float, trial: int) -> TrialResult:
     seed = SeedSpec(config.master_seed, (config.experiment, m, k, repr(float(epsilon)), trial))
+    intensity = config.solver.mode == "intensity"
     inst = make_instance(
         config.field,
         config.n,
@@ -189,12 +190,14 @@ def _run_trial(config: ExperimentConfig, m: int, k: int, epsilon: float, trial: 
         bias=_bias_for(config),
         epsilon=epsilon,
         noise_model="sphere",
+        with_intensity=intensity,
     )
     opts = config.solver
     if config.field == REAL:
         report = solve_affine_pr_real(inst.ensemble, inst.y, epsilon, opts)
     else:
-        report = solve_affine_pr_complex(inst.ensemble, inst.y, epsilon, opts)
+        data = inst.ytilde if intensity else inst.y
+        report = solve_affine_pr_complex(inst.ensemble, data, epsilon, opts)
     met = error_metrics(report.xhat, inst.x0)
     gap = report.objective - float(np.sum(np.abs(inst.x0)))
     if config.field == REAL:

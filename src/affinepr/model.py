@@ -60,10 +60,6 @@ def as_signal(entries, field: str) -> np.ndarray:
     return arr
 
 
-def field_of(arr: np.ndarray) -> str:
-    return COMPLEX if np.iscomplexobj(arr) else REAL
-
-
 @dataclass(frozen=True)
 class MeasurementEnsemble:
     """Measurement matrix A (m x n), bias vector b (m), and provenance.

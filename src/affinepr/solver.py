@@ -3,16 +3,24 @@ in alternating sign (real) or phase (complex) outer loops.
 
 The inner problem is basis pursuit denoising,
 
-    min ||x||_1  s.t.  ||D x - c||_2 <= eps,
+    min ||x||_1  s.t.  ||D x - c||_2 <= eps.
 
-solved by ADMM on the splitting x = z, D x = r.  A solve computes one thin
-SVD A = U S V^H and every inner call reuses it.  With eps = 0 and
-rank(A) = n the feasible set is a single point or empty, so the call returns
-A^+ c with no ADMM.  Otherwise the exact x-update (I + D^H D)^-1 is one
-matrix-vector product with I - V diag(s^2/(1 + s^2)) V^H, or I - V V^H/2
-once a consistent eps = 0 system is whitened to the rows V^H; it does not
-depend on the ADMM step rho, so adapting rho costs nothing.  The
-outer loops exploit the identity
+A solve computes one thin SVD D = U S V^H and every inner call reuses it.
+Which of three inner paths runs depends only on eps, the field and rank(D):
+
+* direct, for eps = 0 and rank(D) = n: the feasible set is a single point or
+  empty, so the call returns D^+ c;
+* exact homotopy, for eps = 0, real D and rank(D) < n: basis pursuit is a
+  linear program, solved exactly by following the lasso path to lam = 0 on
+  the whitened rows V^H x = S^-1 U^H c, and certified by a dual vector;
+* ADMM on the splitting x = z, D x = r, for eps > 0, and for complex D with
+  eps = 0 and rank(D) < n (complex l1 is a second-order cone program).  Its
+  exact x-update (I + D^H D)^-1 is one matrix-vector product with
+  I - V diag(s^2/(1 + s^2)) V^H, or I - V V^H/2 once a consistent eps = 0
+  system is whitened to the rows V^H; it does not depend on the ADMM step
+  rho, so adapting rho costs nothing.
+
+The outer loops exploit the identity
 
     ||diag(s)(A x + b) - y||_2 = ||A x - (s*y - b)||_2
 
@@ -48,7 +56,8 @@ class SolverOptions:
     """Settings of one solve, and the keys of the JSON ``solver`` config.
 
     outer_max: outer sign/phase steps per restart chain.
-    inner_max: ADMM cap of a full BPDN call; outer steps cap at 600, flip probes at 300.
+    inner_max: cap on the ADMM iterations or homotopy steps of a full BPDN call;
+        outer steps cap at 600, flip probes at 300.
     inner_tol: ADMM tolerance on the residuals, relative to 1 + ||c||.
     restarts: chains: the bias anchor, the anchor on a slower homotopy, then random patterns.
     mode: "magnitude" data y = |A x + b|, or "intensity" ytilde = |A x + b|^2 (complex only).
@@ -81,7 +90,6 @@ class BpdnResult:
     iterations: int
     converged: bool
     primal_residual: float
-    dual_residual: float
 
     @property
     def objective(self) -> float:
@@ -96,7 +104,11 @@ class SolveReport:
     outer_iters: int
     inner_iters_total: int
     restart_index_of_best: int
-    termination: str  # sign_fixed_point | max_outer | infeasible_inner
+    # sign_fixed_point | max_outer | infeasible_inner; infeasible_inner means
+    # the last inner call ended unconverged: an exact verdict (direct or
+    # homotopy) that D x = c has no solution, or an ADMM call (or a homotopy
+    # path) that stopped at its cap.
+    termination: str
     trace: list = dc_field(default_factory=list)
     clipped_intensities: int = 0
 
@@ -145,20 +157,164 @@ def _thin_svd(D) -> _Svd:
     return _Svd(U[:, keep], s[keep], Vh[keep])
 
 
+_CERT_TOL = 1e-9
+
+
+def _certified(x: np.ndarray, cert: np.ndarray) -> bool:
+    """Whether cert = D^T nu proves x optimal: |cert| <= 1 and cert = sign(x) on x's support."""
+    supp = np.flatnonzero(x)
+    return bool(
+        np.max(np.abs(cert), initial=0.0) <= 1.0 + _CERT_TOL
+        and np.all(np.sign(x[supp]) * cert[supp] >= 1.0 - _CERT_TOL)
+    )
+
+
+def _bp_homotopy(Vh, w, cap: int, feasible_init) -> tuple[np.ndarray, int, bool]:
+    """Exact min ||x||_1 s.t. Vh x = w for real Vh with r < n orthonormal rows.
+
+    Follows the lasso path of 0.5 ||Vh x - w||^2 + lam ||x||_1 from
+    lam = ||Vh^T w||_inf, where x = 0, down to lam = 0 (Donoho & Tsaig,
+    IEEE Trans. IT 2008).  With P = Vh^T Vh the correlation
+    g = Vh^T (w - Vh x) = Vh^T w - P x equals lam * z on the active set S
+    (z the signs of x_S) and stays within lam elsewhere.  Between
+    breakpoints x_S moves along (P_SS)^-1 z per unit decrease of lam; an
+    index enters S when its correlation reaches lam and leaves when its
+    coefficient reaches zero, and the inverse of P_SS follows by a rank-one
+    update.  S holds at most r indices, so P_SS stays nonsingular.  g / lam
+    at the last breakpoint is Vh^T nu for a dual vector nu; the result is
+    certified when that vector passes ``_certified``.
+
+    A ``feasible_init`` (a point the caller found to solve the system) that
+    the min-norm nu of its own support certifies is returned as it is, after
+    0 steps.  Returns (x, path steps, certified); a path cut at ``cap`` steps
+    is not certified.
+    """
+    r, n = Vh.shape
+    if feasible_init is not None:
+        supp = np.flatnonzero(feasible_init)
+        if 0 < supp.size <= r:
+            nu = np.linalg.lstsq(Vh[:, supp].T, np.sign(feasible_init[supp]), rcond=None)[0]
+            if _certified(feasible_init, nu @ Vh):
+                return feasible_init.copy(), 0, True
+
+    P = Vh.T @ Vh
+    xdag = Vh.T @ w
+
+    x = np.zeros(n)
+    j = int(np.argmax(np.abs(xdag)))
+    lam = float(abs(xdag[j]))
+    if lam == 0.0:
+        return x, 0, True
+    # The active set: indices, signs and coefficients, rows P[act] and the
+    # inverse of P[act][:, act], all in the first k slots.
+    act = np.empty(r, dtype=np.intp)
+    z = np.empty(r)
+    xs = np.empty(r)
+    PS = np.empty((r, n))
+    Gi = np.empty((r, r))
+    act[0], z[0], xs[0], PS[0], Gi[0, 0] = j, np.sign(xdag[j]), 0.0, P[j], 1.0 / P[j, j]
+    k = 1
+    closed = np.zeros(n, dtype=bool)  # may not enter: active, dependent, or just left
+    closed[j] = True
+    held = -1
+    g = xdag
+    never = np.full(n, np.inf)
+    steps = 0
+    while True:
+        if steps >= cap:
+            x[act[:k]] = xs[:k]
+            return x, steps, False
+        steps += 1
+        d = Gi[:k, :k] @ z[:k]
+        # Events that tie with the end of the path (they do whenever the
+        # solution is sparser than r) lose to it.
+        t = lam * (1.0 - 1e-9)
+        event = None
+        t_exit = np.divide(-xs[:k], d, out=never[:k].copy(), where=xs[:k] * d < 0.0)
+        p = t_exit.argmin()
+        if t_exit[p] < t:
+            t, event = t_exit[p], "exit"
+        if k < r:
+            a = d @ PS[:k]  # the rate at which g falls per unit step
+            den = 1.0 - a
+            t_up = np.divide(lam - g, den, out=never.copy(), where=den > 1e-12)
+            den = 1.0 + a
+            t_down = np.divide(lam + g, den, out=never.copy(), where=den > 1e-12)
+            t_enter = np.minimum(t_up, t_down)
+            t_enter[closed] = np.inf
+            q = t_enter.argmin()
+            if t_enter[q] < t:
+                t, event = max(float(t_enter[q]), 0.0), "enter"
+        if event is None:
+            break
+        if held >= 0:
+            closed[held] = False
+            held = -1
+        xs[:k] += t * d
+        lam -= t
+        g = xdag - xs[:k] @ PS[:k]
+        if event == "exit":
+            last = k - 1
+            if p != last:
+                for arr in (act, z, xs, PS):
+                    arr[[p, last]] = arr[[last, p]]
+                Gi[[p, last], :k] = Gi[[last, p], :k]
+                Gi[:k, [p, last]] = Gi[:k, [last, p]]
+            e = Gi[:last, last]
+            Gi[:last, :last] -= e[:, None] * (e / Gi[last, last])
+            held = int(act[last])
+            k = last
+            continue
+        closed[q] = True
+        b = PS[:k, q]
+        v = Gi[:k, :k] @ b
+        schur = P[q, q] - b @ v
+        if schur <= 1e-12 * P[q, q]:
+            continue  # column q lies in the span of the active columns
+        Gi[:k, :k] += v[:, None] * (v / schur)
+        Gi[:k, k] = Gi[k, :k] = -v / schur
+        Gi[k, k] = 1.0 / schur
+        act[k], z[k], xs[k], PS[k] = q, (1.0 if g[q] > 0 else -1.0), 0.0, P[q]
+        k += 1
+    # On the last segment g = g(0) + lam * (d @ P[act]), and g(0) = 0 when its
+    # end solves the system, so g / lam at the last breakpoint equals the
+    # rate d @ P[act]; that form does not divide rounding errors by lam.
+    cert = d @ PS[:k]
+    # At lam = 0 the active coefficients solve P_SS x_S = (Vh^T w)_S; take
+    # that from the updated inverse rather than summing the path's steps.  A
+    # coefficient whose exit tied with the end is zero up to rounding,
+    # whatever its sign.
+    xs = Gi[:k, :k] @ xdag[act[:k]]
+    xs[np.sign(xs) != z[:k]] = 0.0
+    x[act[:k]] = xs
+    return x, steps, _certified(x, cert)
+
+
 def bpdn(
     D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None, *, svd: _Svd | None = None
 ) -> BpdnResult:
-    """Approximate minimizer of min ||x||_1 s.t. ||D x - c||_2 <= epsilon.
+    """Minimizer of min ||x||_1 s.t. ||D x - c||_2 <= epsilon, with a convergence flag.
 
-    Returns the best iterate with a convergence flag; on nonunique optima
-    any minimizer may be returned, so callers should contract on the
-    objective value rather than the witness.  The ADMM iterate is polished
-    by a least-squares refit on its support, kept only when it improves the
-    (feasibility violation, objective) pair.
+    The path depends only on epsilon, the field and rank(D):
 
-    With epsilon = 0 and D of full column rank the result is D^+ c after
-    zero iterations, converged only if its residual is within 1e-9 (1 + ||c||).
-    ``svd`` is D's ``_thin_svd``, passed by callers that reuse one D.
+    * epsilon = 0 and rank(D) = n: direct.  The result is D^+ c after zero
+      iterations, converged only if its residual is within 1e-9 (1 + ||c||).
+    * epsilon = 0, real D and rank(D) < n: exact homotopy (``_bp_homotopy``)
+      on the whitened rows V^H x = S^-1 U^H c.  ``iterations`` counts path
+      steps; converged only if the residual is within 1e-9 (1 + ||c||) and a
+      dual vector certifies optimality, so an inconsistent system returns an
+      exact "infeasible" verdict.  An ``x_init`` that is already a certified
+      optimum comes back after 0 steps.
+    * otherwise ADMM, from ``x_init`` if given, capped at ``opts.inner_max``
+      iterations.  A real iterate is polished by a least-squares refit on its
+      support, kept only when it improves the (feasibility violation,
+      objective) pair.  A complex one is returned as it is: complex l1 optima
+      need not be basic, and the refit traded up to 0.4 % of objective for a
+      1e-8 residual.
+
+    On nonunique optima any minimizer may be returned, so callers should
+    contract on the objective value rather than the witness.  ``svd`` is D's
+    ``_thin_svd``, passed by callers that reuse one D.
     """
     opts = opts or SolverOptions()
     if not epsilon >= 0:
@@ -171,7 +327,7 @@ def bpdn(
     cnorm = float(np.linalg.norm(c))
     if epsilon >= cnorm:
         # 0 is feasible and l1-minimal.
-        return BpdnResult(np.zeros(n, dtype=D.dtype), 0, True, 0.0, 0.0)
+        return BpdnResult(np.zeros(n, dtype=D.dtype), 0, True, 0.0)
 
     U, s, Vh = svd if svd is not None else _thin_svd(D)
     V = Vh.conj().T
@@ -183,7 +339,14 @@ def bpdn(
         if s.size == n:
             x = V @ (proj / s)
             primal = float(np.linalg.norm(D @ x - c))
-            return BpdnResult(x, 0, primal <= feas_tol, primal, 0.0)
+            return BpdnResult(x, 0, primal <= feas_tol, primal)
+        if not np.iscomplexobj(D):
+            start = None if x_init is None else np.asarray(x_init, dtype=np.float64)
+            if start is not None and np.linalg.norm(D @ start - c) > feas_tol:
+                start = None
+            x, steps, certified = _bp_homotopy(Vh, proj / s, opts.inner_max, start)
+            primal = float(np.linalg.norm(D @ x - c))
+            return BpdnResult(x, steps, certified and primal <= feas_tol, primal)
         if np.linalg.norm(c - U @ proj) <= feas_tol:
             # D x = c iff V^H x = S^-1 U^H c, and ADMM's rate no longer
             # depends on cond(D).  An inconsistent system keeps the raw rows.
@@ -233,7 +396,7 @@ def bpdn(
 
     scale = float(np.max(np.abs(z))) if z.size else 0.0
     support = np.flatnonzero(np.abs(z) > 1e-12 * max(1.0, scale))
-    if support.size:
+    if support.size and not np.iscomplexobj(z):
         sol, _, _, _ = np.linalg.lstsq(D_orig[:, support], c_orig, rcond=None)
         cand = np.zeros(n, dtype=dtype)
         cand[support] = sol
@@ -241,7 +404,7 @@ def bpdn(
             D_orig, c_orig, epsilon, feas_tol, z
         ):
             z = cand
-    return BpdnResult(z, it, converged, primal, dual)
+    return BpdnResult(z, it, converged, primal)
 
 
 def _phase_of(v: np.ndarray) -> np.ndarray:

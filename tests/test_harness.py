@@ -367,3 +367,23 @@ def test_run_cell_trial_metrics():
     cell, trials = run_cell(cfg, 24, 2, 0.0)
     assert cell.trial_count == len(trials) == 4
     assert all(t.plain >= 0 for t in trials)
+
+
+@pytest.mark.parametrize("mode", ["magnitude", "intensity"])
+def test_run_cell_hands_intensity_mode_its_data(mode):
+    # Intensity mode used to be handed the magnitudes and recovered 0 of 4.
+    cfg = ExperimentConfig.from_dict(
+        {
+            "experiment": "phase_grid",
+            "field": "complex",
+            "n": 16,
+            "k_list": [2],
+            "m_list": [64],
+            "trials_per_cell": 4,
+            "bias": {"kind": "complex_gaussian"},
+            "master_seed": 7,
+            "solver": {"restarts": 2, "mode": mode},
+        }
+    )
+    cell, _ = run_cell(cfg, 64, 2, 0.0)
+    assert cell.success_count == 4

@@ -1,11 +1,12 @@
 """Property tests of the basis-pursuit solve (epsilon = 0) and of the full
 affine phase-retrieval solves.
 
-For ``bpdn`` both inner paths are covered: ADMM with a whitened equality
-system when m < n, and the direct D^+ c solve when m >= n.  Each property is
-a symmetry of min ||x||_1 s.t. D x = c, so the objective must not depend on
-it.  The full solves run on instances they recover exactly, and each
-symmetry of y = |A x + b| must lead to the same (or the scaled) signal.
+For ``bpdn`` all three inner paths are covered: the exact homotopy for real
+m < n, the direct D^+ c solve when m >= n, and ADMM with a whitened equality
+system for complex m < n.  Each property is a symmetry of
+min ||x||_1 s.t. D x = c, so the objective must not depend on it.  The full
+solves run on instances they recover exactly, and each symmetry of
+y = |A x + b| must lead to the same (or the scaled) signal.
 """
 
 import numpy as np
@@ -23,49 +24,67 @@ from affinepr import (
 )
 from affinepr.solver import bpdn
 
-SHAPES = [(10, 16), (24, 12)]  # (m, n): ADMM path, direct path
+# (m, n, field): exact homotopy, direct solve, whitened ADMM.  The ids of
+# the real shapes predate the complex one.
+SHAPES = pytest.mark.parametrize(
+    "m,n,field",
+    [(10, 16, "real"), (24, 12, "real"), (10, 16, "complex")],
+    ids=["10-16", "24-12", "10-16-complex"],
+)
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+# Complex ADMM starts at rho = 1 whatever the scale of c, and at c ~ 1e-2
+# it is still short of its tolerance after the default 2000 iterations.
+INNER = {"real": SolverOptions(), "complex": SolverOptions(inner_max=20000)}
 
 
-def _problem(m, n, seed, consistent):
+def _problem(m, n, field, seed, consistent):
     """D Gaussian; c = D x0 for a 3-sparse x0, or a generic right-hand side."""
     rng = np.random.default_rng(seed)
-    D = rng.standard_normal((m, n))
-    x0 = np.zeros(n)
-    x0[rng.choice(n, size=3, replace=False)] = rng.standard_normal(3)
-    c = D @ x0 if consistent else rng.standard_normal(m)
+
+    def gauss(*shape):
+        if field == "real":
+            return rng.standard_normal(shape)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    D = gauss(m, n)
+    x0 = np.zeros(n, dtype=D.dtype)
+    x0[rng.choice(n, size=3, replace=False)] = gauss(3)
+    c = D @ x0 if consistent else gauss(m)
     return D, c
 
 
 seeds = st.integers(0, 2**32 - 1)
 
 
-@pytest.mark.parametrize("m,n", SHAPES)
+@SHAPES
 @PROPERTY
 @given(seed=seeds, consistent=st.booleans(), data=st.data())
-def test_bpdn_row_permutation_equivariance(m, n, seed, consistent, data):
-    D, c = _problem(m, n, seed, consistent)
+def test_bpdn_row_permutation_equivariance(m, n, field, seed, consistent, data):
+    D, c = _problem(m, n, field, seed, consistent)
     perm = np.array(data.draw(st.permutations(range(m))))
-    base = bpdn(D, c, 0.0).objective
-    assert bpdn(D[perm], c[perm], 0.0).objective == pytest.approx(base, rel=1e-7)
+    base = bpdn(D, c, 0.0, INNER[field]).objective
+    assert bpdn(D[perm], c[perm], 0.0, INNER[field]).objective == pytest.approx(base, rel=1e-7)
 
 
-@pytest.mark.parametrize("m,n", SHAPES)
+@SHAPES
 @PROPERTY
 @given(seed=seeds, consistent=st.booleans(), log_t=st.floats(-3.0, 3.0))
-def test_bpdn_scale_covariance(m, n, seed, consistent, log_t):
-    D, c = _problem(m, n, seed, consistent)
+def test_bpdn_scale_covariance(m, n, field, seed, consistent, log_t):
+    D, c = _problem(m, n, field, seed, consistent)
     t = 10.0**log_t
-    base = bpdn(D, c, 0.0).objective
-    assert bpdn(D, t * c, 0.0).objective == pytest.approx(t * base, rel=1e-7)
+    base = bpdn(D, c, 0.0, INNER[field]).objective
+    assert bpdn(D, t * c, 0.0, INNER[field]).objective == pytest.approx(t * base, rel=1e-7)
 
 
-@pytest.mark.parametrize("m,n", SHAPES)
+@SHAPES
 @PROPERTY
-@given(seed=seeds, consistent=st.booleans())
-def test_bpdn_sign_symmetry(m, n, seed, consistent):
-    D, c = _problem(m, n, seed, consistent)
-    assert bpdn(D, -c, 0.0).objective == pytest.approx(bpdn(D, c, 0.0).objective, rel=1e-7)
+@given(seed=seeds, consistent=st.booleans(), theta=st.floats(0.0, 2 * np.pi))
+def test_bpdn_sign_symmetry(m, n, field, seed, consistent, theta):
+    # c -> -c, or c -> e^{i theta} c in the complex field.
+    D, c = _problem(m, n, field, seed, consistent)
+    unit = -1.0 if field == "real" else np.exp(1j * theta)
+    base = bpdn(D, c, 0.0, INNER[field]).objective
+    assert bpdn(D, unit * c, 0.0, INNER[field]).objective == pytest.approx(base, rel=1e-7)
 
 
 # Full solves: real n=16, k=2, m=40 and complex n=8, k=2, m=32 are recovered

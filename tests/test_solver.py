@@ -106,19 +106,82 @@ def test_bpdn_direct_solve_reports_inconsistent_system():
     assert res.primal_residual > 0.1
 
 
-def test_bpdn_matches_linprog_basis_pursuit_at_n64():
+def _linprog_bp(D, c):
+    """min ||x||_1 s.t. D x = c as the LP min 1'(p + q) s.t. D (p - q) = c, p, q >= 0."""
     from scipy.optimize import linprog
 
+    n = D.shape[1]
+    lp = linprog(np.ones(2 * n), A_eq=np.hstack([D, -D]), b_eq=c, bounds=(0, None), method="highs")
+    assert lp.status == 0
+    return lp.fun
+
+
+def _sparse_rhs(rng, D, k=3):
+    x = np.zeros(D.shape[1])
+    x[rng.choice(D.shape[1], size=k, replace=False)] = rng.standard_normal(k)
+    return D @ x
+
+
+def test_bpdn_matches_linprog_basis_pursuit_at_n64():
     rng = np.random.default_rng(10)
-    for _ in range(3):
+    for trial in range(6):
         D = rng.standard_normal((40, 64))
-        c = rng.standard_normal(40)
-        # min 1'(p + q) s.t. D (p - q) = c, p, q >= 0
-        lp = linprog(np.ones(128), A_eq=np.hstack([D, -D]), b_eq=c, bounds=(0, None), method="highs")
-        assert lp.status == 0
+        c = rng.standard_normal(40) if trial % 2 else _sparse_rhs(rng, D)
         res = bpdn(D, c, 0.0)
-        assert res.objective == pytest.approx(lp.fun, rel=1e-6)
-        assert np.linalg.norm(D @ res.x - c) <= 1e-6 * (1 + np.linalg.norm(c))
+        assert res.converged
+        assert res.objective == pytest.approx(_linprog_bp(D, c), rel=1e-9)
+        assert np.linalg.norm(D @ res.x - c) <= 1e-9 * (1 + np.linalg.norm(c))
+
+
+def test_bpdn_exact_path_step_count():
+    # Each homotopy step adds or drops one index; the path stays short.
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        m = int(rng.integers(8, 48))
+        D = rng.standard_normal((m, 64))
+        c = rng.standard_normal(m) if trial % 2 else _sparse_rhs(rng, D)
+        res = bpdn(D, c, 0.0)
+        assert res.converged
+        assert 1 <= res.iterations <= 3 * m
+
+
+def test_bpdn_exact_path_with_duplicated_rows():
+    # rank(D) = 30 < m = 36 < n = 64: the path runs on the 30 whitened rows.
+    rng = np.random.default_rng(13)
+    D0 = rng.standard_normal((30, 64))
+    D = np.vstack([D0, D0[:6]])
+    for c in (D @ rng.standard_normal(64), _sparse_rhs(rng, D)):
+        res = bpdn(D, c, 0.0)
+        assert res.converged
+        assert res.objective == pytest.approx(_linprog_bp(D0, c[:30]), rel=1e-9)
+        assert np.linalg.norm(D @ res.x - c) <= 1e-9 * (1 + np.linalg.norm(c))
+    # Repeated rows that disagree make D x = c infeasible: an exact verdict.
+    c = D @ rng.standard_normal(64)
+    c[-1] += 1.0
+    res = bpdn(D, c, 0.0)
+    assert not res.converged
+    assert res.primal_residual > 0.1
+
+
+def test_bpdn_exact_path_returns_certified_x_init():
+    rng = np.random.default_rng(14)
+    D = rng.standard_normal((40, 64))
+    for c in (rng.standard_normal(40), _sparse_rhs(rng, D)):
+        first = bpdn(D, c, 0.0)
+        assert first.converged and first.iterations > 0
+        again = bpdn(D, c, 0.0, x_init=first.x)
+        assert again.converged and again.iterations == 0
+        assert again.x.tobytes() == first.x.tobytes()
+    # An optimum for another right-hand side is not certified for this one,
+    # and neither is a feasible vertex that is not optimal.
+    other = bpdn(D, rng.standard_normal(40), 0.0, x_init=first.x)
+    assert other.converged and other.iterations > 0
+    vertex = np.zeros(64)
+    vertex[:40] = np.linalg.solve(D[:, :40], c)
+    res = bpdn(D, c, 0.0, x_init=vertex)
+    assert res.converged and res.iterations > 0
+    assert res.objective == pytest.approx(first.objective, rel=1e-12)
+    assert res.objective < np.sum(np.abs(vertex))
 
 
 def test_bpdn_noisy_feasibility_contract_at_n64():
