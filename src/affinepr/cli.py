@@ -94,6 +94,7 @@ def _cmd_solve(args) -> int:
         "termination": report.termination,
         "trace": report.trace,
         "clipped_intensities": report.clipped_intensities,
+        "burn_in_levels": report.burn_in_levels,
         "seed_meta": inst.ensemble.seed_meta,
     }
     _dump_json(doc, config.output_path or None)

@@ -36,6 +36,11 @@ alternation only once the support has formed.  Burn-in gradients drop
 measurements whose current magnitude is far below the observation
 (their sign estimate carries no information yet), and the real-field
 solver finishes with a margin-guided single-sign-flip descent.
+
+A noiseless real burn-in with rank(A) = n < m stops at the first unfrozen
+level whose sign pattern passes the direct path's feasibility test: the
+outer loop from that pattern ignores the x it is handed, returns the one
+feasible point and stops there.
 """
 
 from __future__ import annotations
@@ -111,6 +116,8 @@ class SolveReport:
     termination: str
     trace: list = dc_field(default_factory=list)
     clipped_intensities: int = 0
+    # Burn-in levels run by each restart chain; full schedule unless it stopped early.
+    burn_in_levels: list = dc_field(default_factory=list)
 
 
 def _soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
@@ -290,6 +297,14 @@ def _bp_homotopy(Vh, w, cap: int, feasible_init) -> tuple[np.ndarray, int, bool]
     return x, steps, _certified(x, cert)
 
 
+def _direct(D, c, svd: _Svd) -> BpdnResult:
+    """D^+ c for rank(D) = n, converged only if its residual is within 1e-9 (1 + ||c||)."""
+    U, s, Vh = svd
+    x = Vh.conj().T @ ((U.conj().T @ c) / s)
+    primal = float(np.linalg.norm(D @ x - c))
+    return BpdnResult(x, 0, primal <= 1e-9 * (1.0 + float(np.linalg.norm(c))), primal)
+
+
 def bpdn(
     D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None, *, svd: _Svd | None = None
 ) -> BpdnResult:
@@ -329,17 +344,16 @@ def bpdn(
         # 0 is feasible and l1-minimal.
         return BpdnResult(np.zeros(n, dtype=D.dtype), 0, True, 0.0)
 
-    U, s, Vh = svd if svd is not None else _thin_svd(D)
+    svd = svd if svd is not None else _thin_svd(D)
+    if epsilon == 0.0 and svd.s.size == n:
+        return _direct(D, c, svd)
+    U, s, Vh = svd
     V = Vh.conj().T
     feas_tol = 1e-9 * (1.0 + cnorm)
     D_orig, c_orig = D, c
     gain = s**2 / (1.0 + s**2)  # (I + D^H D)^-1 = I - V diag(gain) V^H
     if epsilon == 0.0:
         proj = U.conj().T @ c
-        if s.size == n:
-            x = V @ (proj / s)
-            primal = float(np.linalg.norm(D @ x - c))
-            return BpdnResult(x, 0, primal <= feas_tol, primal)
         if not np.iscomplexobj(D):
             start = None if x_init is None else np.asarray(x_init, dtype=np.float64)
             if start is not None and np.linalg.norm(D @ start - c) > feas_tol:
@@ -431,6 +445,7 @@ class _RestartOutcome:
     inner_iters: int
     termination: str
     trace: list  # (objective, feasibility) of each accepted outer step
+    burn_in_levels: int
 
     @property
     def objective(self) -> float:
@@ -453,7 +468,9 @@ _FAST = _Schedule(0.9, 8, 5.0)  # the anchor chain and every random chain
 _SLOW = _Schedule(0.95, 10, 3.0)  # the second chain: same anchor, finer homotopy
 
 
-def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule: _Schedule, svd: _Svd):
+def _homotopy_burn_in(
+    A, b, y_target, u0, freeze_levels, schedule: _Schedule, svd: _Svd, certify: bool
+):
     """Proximal-gradient homotopy that forms the support and sign pattern.
 
     Runs ISTA steps on 0.5 ||A x - (u*y - b)||^2 + lam ||x||_1 while the
@@ -463,33 +480,41 @@ def _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule: _Schedule, sv
     restarts explore distinct basins.  Residual entries whose current
     magnitude is below y/(1 + schedule.trust) are dropped: their pattern
     estimate is uninformative.
+
+    With ``certify`` it returns after the first unfrozen level whose pattern
+    u passes ``_direct``'s test on A x = u*y - b.  Returns (x, u, levels run).
     """
     m, n = A.shape
     Ah = A.conj().T
     lip = float(svd.s[0]) ** 2 if svd.s.size else 0.0
     if lip == 0.0:
-        return np.zeros(n, dtype=A.dtype), u0
+        return np.zeros(n, dtype=A.dtype), u0, 0
     step = 1.0 / lip
     x = np.zeros(n, dtype=A.dtype)
     u = u0
     lam = float(np.max(np.abs(Ah @ (u * y_target - b)), initial=0.0))
     if lam == 0.0:
-        return x, u
+        return x, u, 0
     lam_min = 1e-7 * lam
     level = 0
+    v = A @ x + b
     while lam > lam_min:
         frozen = level < freeze_levels
         for _ in range(schedule.steps):
-            v = A @ x + b
             if not frozen:
                 u = _unit_pattern(v)
             resid = v - u * y_target
             if not frozen:
                 resid = resid * (np.abs(v) >= y_target / (1.0 + schedule.trust))
             x = _soft_threshold(x - step * (Ah @ resid), step * lam)
+            v = A @ x + b
         lam *= schedule.shrink
         level += 1
-    return x, _unit_pattern(A @ x + b)
+        if certify and not frozen:
+            u = _unit_pattern(v)
+            if _direct(A, u * y_target - b, svd).converged:
+                return x, u, level
+    return x, _unit_pattern(v), level
 
 
 def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd):
@@ -500,7 +525,10 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_ta
     a candidate fixed point is confirmed with a full-tolerance solve.
     """
     complex_field = np.iscomplexobj(A)
-    x, u = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd)
+    m, n = A.shape
+    # At m = n every pattern passes the direct test, so it certifies nothing.
+    certify = epsilon == 0.0 and not complex_field and svd.s.size == n < m
+    x, u, levels = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, certify)
     capped = replace(opts, inner_max=min(600, opts.inner_max))
     inner_total = 0
     trace = []
@@ -549,7 +577,7 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_ta
                 break
     if not last_converged:
         termination = "infeasible_inner"
-    return _RestartOutcome(x, inner_total, termination, trace)
+    return _RestartOutcome(x, inner_total, termination, trace, levels)
 
 
 def _violation(feas: float, epsilon: float, scale: float) -> float:
@@ -609,7 +637,7 @@ def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_
     if not improved:
         return replace(outcome, inner_iters=inner)
     termination = "sign_fixed_point" if key[0] == 0.0 else outcome.termination
-    return _RestartOutcome(x, inner, termination, trace)
+    return _RestartOutcome(x, inner, termination, trace, outcome.burn_in_levels)
 
 
 _FREEZE_LEVELS = 12  # homotopy levels a random restart keeps its pattern pinned
@@ -653,6 +681,7 @@ def _select_report(outcomes, epsilon, scale: float = 1.0) -> SolveReport:
         restart_index_of_best=best,
         termination=o.termination,
         trace=o.trace,
+        burn_in_levels=[r.burn_in_levels for r in outcomes],
     )
 
 
@@ -665,6 +694,8 @@ def _solve(ensemble, data, epsilon, opts, field: str, data_name: str) -> SolveRe
     A = _checked("A", ensemble.A, (None, None))
     b = _checked("b", ensemble.b, (A.shape[0],))
     data = _checked(data_name, np.asarray(data, dtype=np.float64), (A.shape[0],))
+    if opts.mode == "magnitude" and epsilon == 0.0 and np.any(data < 0):
+        raise ValueError(f"{data_name} has negative entries; noiseless magnitudes are nonnegative")
 
     clipped = 0
     if opts.mode == "intensity":
@@ -689,7 +720,13 @@ def _solve(ensemble, data, epsilon, opts, field: str, data_name: str) -> SolveRe
 def solve_affine_pr_real(
     ensemble: MeasurementEnsemble, y, epsilon: float, opts: SolverOptions | None = None
 ) -> SolveReport:
-    """Recover a real signal from y = |A x + b| + w by alternating signs (magnitude mode only)."""
+    """Recover a real signal from y = |A x + b| + w by alternating signs (magnitude mode only).
+
+    With epsilon = 0 a negative y is rejected: no x fits it, and a pattern
+    that passes the direct test on it is no fixed point of the sign loop.
+    With epsilon > 0 it is accepted: noise can push a small magnitude below
+    zero, and the true signs s still put A x0 within epsilon of s*y - b.
+    """
     return _solve(ensemble, y, epsilon, opts, REAL, "y")
 
 
@@ -701,6 +738,7 @@ def solve_affine_pr_complex(
     mode='magnitude' treats the data as y = |A x + b| + w; mode='intensity'
     treats it as ytilde = |A x + b|^2 + w, with feasibility measured in the
     intensity domain and the inner target built from sqrt(max(ytilde, 0)).
+    Noiseless magnitudes must be nonnegative.
     """
     return _solve(ensemble, y_or_ytilde, epsilon, opts, COMPLEX, "y_or_ytilde")
 

@@ -44,8 +44,10 @@ def test_gen_solve_roundtrip(tmp_path, capsys):
         "restart_index_of_best",
         "termination",
         "trace",
+        "burn_in_levels",
         "seed_meta",
     }
+    assert len(report["burn_in_levels"]) == cfg["solver"]["restarts"]
     assert report["seed_meta"]["generator"] == "affinepr.instance.v1"
 
 

@@ -12,7 +12,15 @@ from affinepr import (
     solve_affine_pr_complex,
     solve_affine_pr_real,
 )
-from affinepr.solver import _solve_restarts, _violation
+from affinepr import solver
+from affinepr.solver import (
+    _FAST,
+    _SLOW,
+    _soft_threshold,
+    _solve_restarts,
+    _unit_pattern,
+    _violation,
+)
 
 FAST = SolverOptions(restarts=2, restart_seed=7)
 
@@ -238,6 +246,104 @@ def test_real_solver_accepts_negative_magnitudes():
     y[0] = -0.01
     rep = solve_affine_pr_real(inst.ensemble, y, 0.05, FAST)
     assert np.all(np.isfinite(rep.xhat))
+
+
+def test_solvers_reject_negative_noiseless_magnitudes():
+    real = make_instance("real", 8, 1, 12, SeedSpec(16), bias=1.0)
+    cplx = make_instance("complex", 8, 1, 12, SeedSpec(17), with_intensity=True)
+    for solve, inst, name in (
+        (solve_affine_pr_real, real, "y"),
+        (solve_affine_pr_complex, cplx, "y_or_ytilde"),
+    ):
+        y = inst.y.copy()
+        y[2] = -1e-12
+        with pytest.raises(ValueError, match=f"^{name} has negative"):
+            solve(inst.ensemble, y, 0.0, FAST)
+    # Intensities below zero are clipped, not rejected.
+    data = cplx.ytilde.copy()
+    data[0] = -0.5
+    opts = SolverOptions(restarts=1, mode="intensity", outer_max=3)
+    assert solve_affine_pr_complex(cplx.ensemble, data, 0.0, opts).clipped_intensities == 1
+
+
+def reference_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, certify):
+    """The burn-in without the early exit: every level of the schedule runs."""
+    m, n = A.shape
+    Ah = A.conj().T
+    lip = float(svd.s[0]) ** 2 if svd.s.size else 0.0
+    if lip == 0.0:
+        return np.zeros(n, dtype=A.dtype), u0, 0
+    step = 1.0 / lip
+    x = np.zeros(n, dtype=A.dtype)
+    u = u0
+    lam = float(np.max(np.abs(Ah @ (u * y_target - b)), initial=0.0))
+    if lam == 0.0:
+        return x, u, 0
+    lam_min = 1e-7 * lam
+    level = 0
+    while lam > lam_min:
+        frozen = level < freeze_levels
+        for _ in range(schedule.steps):
+            v = A @ x + b
+            if not frozen:
+                u = _unit_pattern(v)
+            resid = v - u * y_target
+            if not frozen:
+                resid = resid * (np.abs(v) >= y_target / (1.0 + schedule.trust))
+            x = _soft_threshold(x - step * (Ah @ resid), step * lam)
+        lam *= schedule.shrink
+        level += 1
+    return x, _unit_pattern(A @ x + b), level
+
+
+def full_levels(schedule) -> int:
+    lam, levels = 1.0, 0
+    while lam > 1e-7:
+        lam *= schedule.shrink
+        levels += 1
+    return levels
+
+
+@pytest.mark.parametrize("m", [80, 100, 160])
+def test_burn_in_exit_keeps_the_solve_bytes(m, monkeypatch):
+    # Chains: the anchor on _FAST, the anchor on _SLOW, one random pattern
+    # pinned for _FREEZE_LEVELS = 12 levels.
+    opts = SolverOptions(restarts=3, restart_seed=11)
+    full = [full_levels(s) for s in (_FAST, _SLOW, _FAST)]
+    recovered = 0
+    for t in range(10):
+        inst = make_instance("real", 64, 3, m, SeedSpec(95, (m, t)), bias=1.0)
+        rep = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_homotopy_burn_in", reference_burn_in)
+            ref = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+        assert rep.xhat.tobytes() == ref.xhat.tobytes()
+        assert rep.trace == ref.trace
+        assert rep.termination == ref.termination
+        assert rep.restart_index_of_best == ref.restart_index_of_best
+        assert ref.burn_in_levels == full
+        assert all(a <= f for a, f in zip(rep.burn_in_levels, full))
+        if error_metrics(rep.xhat, inst.x0).relative_plain <= 1e-5:
+            assert sum(rep.burn_in_levels) < sum(full)
+            recovered += 1
+    assert recovered >= 8
+
+
+@pytest.mark.parametrize(
+    "field, n, k, m, epsilon",
+    [
+        ("real", 64, 3, 40, 0.0),  # m < n: the inner call is the exact homotopy
+        ("real", 16, 2, 16, 0.0),  # m = n: every pattern passes the direct test
+        ("real", 16, 2, 40, 0.05),  # eps > 0: a pattern fixes no single point
+        ("complex", 32, 2, 112, 0.0),  # criterion 3's config: phases are continuous
+    ],
+)
+def test_burn_in_exit_scope(field, n, k, m, epsilon):
+    # Noiseless data: without its guards the exit would fire at m = n and at eps > 0.
+    inst = make_instance(field, n, k, m, SeedSpec(96))
+    solve = solve_affine_pr_real if field == "real" else solve_affine_pr_complex
+    rep = solve(inst.ensemble, inst.y, epsilon, FAST)
+    assert rep.burn_in_levels == [full_levels(_FAST), full_levels(_SLOW)]
 
 
 def test_bpdn_complex_field():
