@@ -8,15 +8,13 @@ Outputs are deterministic for a fixed config.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 
 from .harness import (
     ExperimentConfig,
-    ImpossibilityReport,
-    _bias_for,
-    _cell_to_json,
-    _write_text,
+    cell_to_json,
+    generate_instance,
     load_instance,
     phase_grid_csv,
     run_impossibility_demo,
@@ -26,18 +24,10 @@ from .harness import (
     run_ripmap,
     run_srip,
     save_instance,
+    solve_instance,
+    write_json,
 )
-from .model import REAL
-from .rng import SeedSpec, make_instance
-from .solver import solve_affine_pr_complex, solve_affine_pr_real
-
-
-def _dump_json(obj, path: str | None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path:
-        _write_text(path, text)
-    else:
-        sys.stdout.write(text)
+from .model import array_to_json
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -55,20 +45,9 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_gen(args) -> int:
     config = _load_config(args)
-    inst = make_instance(
-        config.field,
-        config.n,
-        config.k_list[0],
-        config.m_list[0],
-        SeedSpec(config.master_seed, ("gen",)),
-        amplitude_model="gaussian",
-        bias=_bias_for(config),
-        epsilon=config.epsilon_list[0],
-        noise_model="sphere",
-    )
     if not config.output_path:
         raise SystemExit("gen requires --out")
-    save_instance(config.output_path, inst)
+    save_instance(config.output_path, generate_instance(config))
     print(f"wrote instance to {config.output_path}")
     return 0
 
@@ -76,28 +55,10 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     config = _load_config(args)
     inst = load_instance(args.instance)
-    eps = config.epsilon_list[0]
-    if inst.ensemble.field == REAL:
-        report = solve_affine_pr_real(inst.ensemble, inst.y, eps, config.solver)
-    else:
-        data = inst.ytilde if (config.solver.mode == "intensity" and inst.ytilde is not None) else inst.y
-        report = solve_affine_pr_complex(inst.ensemble, data, eps, config.solver)
-    doc = {
-        "xhat": report.xhat.real.tolist()
-        if inst.ensemble.field == REAL
-        else {"re": report.xhat.real.tolist(), "im": report.xhat.imag.tolist()},
-        "objective": report.objective,
-        "feasibility": report.feasibility,
-        "outer_iters": report.outer_iters,
-        "inner_iters_total": report.inner_iters_total,
-        "restart_index_of_best": report.restart_index_of_best,
-        "termination": report.termination,
-        "trace": report.trace,
-        "clipped_intensities": report.clipped_intensities,
-        "burn_in_levels": report.burn_in_levels,
-        "seed_meta": inst.ensemble.seed_meta,
-    }
-    _dump_json(doc, config.output_path or None)
+    report = solve_instance(inst, config.epsilon_list[0], config.solver)
+    doc = asdict(report)
+    doc.update(xhat=array_to_json(report.xhat), seed_meta=inst.ensemble.seed_meta)
+    write_json(doc, config.output_path)
     return 0
 
 
@@ -108,7 +69,7 @@ def _cmd_phase_grid(args) -> int:
         config.output_path = ""
     cells = run_phase_grid(config)
     if args.format == "json":
-        _dump_json([_cell_to_json(c) for c in cells], out or None)
+        write_json([cell_to_json(c) for c in cells], out)
     elif not out:
         sys.stdout.write(phase_grid_csv(cells))
     return 0
@@ -120,10 +81,10 @@ def _cmd_noise_curve(args) -> int:
     summary = {
         "slope": result.slope,
         "r_squared": result.r_squared,
-        "cells": [_cell_to_json(c) for c in result.cells],
+        "cells": [cell_to_json(c) for c in result.cells],
     }
     if args.format == "json":
-        _dump_json(summary, None)
+        write_json(summary)
     else:
         print(f"slope={result.slope:.6g} r_squared={result.r_squared:.6g}")
     return 0
@@ -131,20 +92,11 @@ def _cmd_noise_curve(args) -> int:
 
 def _cmd_impossibility(args) -> int:
     config = _load_config(args)
-    rep: ImpossibilityReport = run_impossibility_demo(config)
+    rep = run_impossibility_demo(config)
     if config.output_path:
         print(f"wrote report to {config.output_path}")
     else:
-        _dump_json(
-            {
-                "r_values": rep.r_values,
-                "collision_residuals": rep.collision_residuals,
-                "alias_errors": rep.alias_errors,
-                "sparse_errors": rep.sparse_errors,
-                "z0_norm": rep.z0_norm,
-            },
-            None,
-        )
+        write_json(asdict(rep))
     return 0
 
 
@@ -156,7 +108,7 @@ def _cmd_srip(args) -> int:
         "Ab": {"lower_hat": est_ab.lower_hat, "upper_hat": est_ab.upper_hat, "samples": est_ab.samples},
     }
     if args.format == "json" or not config.output_path:
-        _dump_json(doc, None)
+        write_json(doc)
     return 0
 
 
@@ -167,10 +119,10 @@ def _cmd_ripmap(args) -> int:
         "ratio_min": est.lower_hat,
         "ratio_max": est.upper_hat,
         "samples": est.samples,
-        "spread": est.upper_hat / est.lower_hat if est.lower_hat > 0 else float("inf"),
+        "spread": est.spread,
     }
     if args.format == "json" or not config.output_path:
-        _dump_json(doc, None)
+        write_json(doc)
     return 0
 
 
@@ -178,7 +130,7 @@ def _cmd_lemma(args) -> int:
     config = _load_config(args)
     summary = run_lemma_suite(config)
     if not config.output_path:
-        _dump_json(summary, None)
+        write_json(summary)
     ok = (
         summary["decompose_failures"] == 0
         and summary["lifted_violations"] == 0

@@ -16,9 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import statistics
+import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
@@ -29,11 +29,13 @@ from .model import (
     REAL,
     MeasurementEnsemble,
     ProblemInstance,
+    array_from_json,
+    array_to_json,
     error_metrics,
 )
-from .rng import SeedSpec, make_instance
+from .rng import SeedSpec, make_instance, normalize_bias
 from .ripcheck import rip_ratio_sample, srip_profile
-from .solver import SolverOptions, solve_affine_pr_complex, solve_affine_pr_real
+from .solver import SolveReport, SolverOptions, solve_affine_pr_complex, solve_affine_pr_real
 
 EXPERIMENTS = (
     "phase_grid",
@@ -44,8 +46,8 @@ EXPERIMENTS = (
     "lemma_suite",
 )
 
-PHASE_GRID_HEADER = "m,k,trials,successes,wilson_lo,wilson_hi,median_err,median_phase_err,wall_ms"
-NOISE_CURVE_HEADER = "epsilon,trials,successes,wilson_lo,wilson_hi,median_err,median_phase_err,wall_ms"
+# CSV columns of a grid cell after its (m, k) or epsilon; all are keys of cell_to_json.
+_CELL_COLUMNS = ("trials", "successes", "wilson_lo", "wilson_hi", "median_err", "median_phase_err")
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SUCCESS_TOL = 1e-5  # success: relative error, or global-phase error / (1 + ||x0||) if complex
@@ -91,11 +93,9 @@ class ExperimentConfig:
         kind = self.bias.get("kind")
         if kind not in ("constant", "complex_gaussian", "file"):
             raise ValueError(f"unknown bias kind {kind!r}")
-        c = self.bias.get("c")
-        if kind == "constant" and not (isinstance(c, numbers.Real) and math.isfinite(c)):
-            raise ValueError("constant bias needs a finite number 'c'")
-        if kind == "file" and not isinstance(self.bias.get("path"), str):
-            raise ValueError("file bias needs a string 'path'")
+        bias = _bias_spec(self.bias)
+        for m in self.m_list:
+            normalize_bias(self.field, bias, m)
         return self
 
     @classmethod
@@ -119,14 +119,10 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
-
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        """SHA-256 of the config, with a file bias's values in place of its path."""
+        doc = dict(asdict(self), bias=_bias_spec(self.bias))
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -165,39 +161,54 @@ def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def _bias_for(config: ExperimentConfig):
-    kind = config.bias["kind"]
-    if kind == "constant":
-        return {"kind": "constant", "c": float(config.bias["c"])}
-    if kind == "complex_gaussian":
-        return {"kind": "complex_gaussian"}
-    if kind == "file":
-        with open(config.bias["path"], "r", encoding="utf-8") as fh:
-            return {"kind": "vector", "values": json.load(fh)}
-    raise ValueError(f"unsupported bias kind {kind!r}")
+def _bias_spec(bias: dict) -> dict:
+    """The rng bias spec of a config's ``bias``: a file spec becomes the vector
+    its JSON file holds (see ``model.array_to_json``)."""
+    if bias.get("kind") != "file":
+        return bias
+    if not isinstance(bias.get("path"), str):
+        raise ValueError("file bias needs a string 'path'")
+    with open(bias["path"], "r", encoding="utf-8") as fh:
+        return {"kind": "vector", "values": json.load(fh)}
 
 
-def _run_trial(config: ExperimentConfig, m: int, k: int, epsilon: float, trial: int) -> TrialResult:
-    seed = SeedSpec(config.master_seed, (config.experiment, m, k, repr(float(epsilon)), trial))
-    intensity = config.solver.mode == "intensity"
-    inst = make_instance(
+def _instance(config: ExperimentConfig, k: int, m: int, seed: SeedSpec, epsilon: float = 0.0):
+    return make_instance(
         config.field,
         config.n,
         k,
         m,
         seed,
-        amplitude_model="gaussian",
-        bias=_bias_for(config),
+        bias=_bias_spec(config.bias),
         epsilon=epsilon,
-        noise_model="sphere",
-        with_intensity=intensity,
+        with_intensity=config.solver.mode == "intensity",
     )
-    opts = config.solver
-    if config.field == REAL:
-        report = solve_affine_pr_real(inst.ensemble, inst.y, epsilon, opts)
-    else:
-        data = inst.ytilde if intensity else inst.y
-        report = solve_affine_pr_complex(inst.ensemble, data, epsilon, opts)
+
+
+def generate_instance(config: ExperimentConfig) -> ProblemInstance:
+    """The instance ``affinepr gen`` saves: the first k, m and epsilon of
+    ``config``, drawn from the stream (master_seed, "gen")."""
+    seed = SeedSpec(config.master_seed, ("gen",))
+    return _instance(config, config.k_list[0], config.m_list[0], seed, config.epsilon_list[0])
+
+
+def solve_instance(inst: ProblemInstance, epsilon: float, opts: SolverOptions) -> SolveReport:
+    """Solve ``inst`` with the solver of its field, from its magnitudes ``y``,
+    or from its intensities ``ytilde`` when ``opts.mode`` is "intensity"."""
+    data = inst.y
+    if opts.mode == "intensity":
+        if inst.ytilde is None:
+            raise ValueError("intensity mode needs intensities (ytilde); this instance has none")
+        data = inst.ytilde
+    if inst.ensemble.field == REAL:
+        return solve_affine_pr_real(inst.ensemble, data, epsilon, opts)
+    return solve_affine_pr_complex(inst.ensemble, data, epsilon, opts)
+
+
+def _run_trial(config: ExperimentConfig, m: int, k: int, epsilon: float, trial: int) -> TrialResult:
+    seed = SeedSpec(config.master_seed, (config.experiment, m, k, repr(float(epsilon)), trial))
+    inst = _instance(config, k, m, seed, epsilon)
+    report = solve_instance(inst, epsilon, config.solver)
     met = error_metrics(report.xhat, inst.x0)
     gap = report.objective - float(np.sum(np.abs(inst.x0)))
     if config.field == REAL:
@@ -225,21 +236,8 @@ def run_cell(config: ExperimentConfig, m: int, k: int, epsilon: float) -> tuple[
     return cell, trials
 
 
-def _grid_row(cell: CellResult, *lead: str) -> list:
-    lo, hi = wilson_interval(cell.success_count, cell.trial_count)
-    return [
-        *lead,
-        str(cell.trial_count),
-        str(cell.success_count),
-        _fmt(lo),
-        _fmt(hi),
-        _fmt(cell.median_plain_error),
-        _fmt(cell.median_global_phase_error),
-        "0",
-    ]
-
-
-def _cell_to_json(cell: CellResult) -> dict:
+def cell_to_json(cell: CellResult) -> dict:
+    """A grid cell as one JSON record, whose keys also name its CSV columns."""
     lo, hi = wilson_interval(cell.success_count, cell.trial_count)
     return {
         "m": cell.m,
@@ -310,16 +308,18 @@ def run_phase_grid(config: ExperimentConfig) -> list[CellResult]:
     return cells
 
 
-def _phase_grid_rows(cells: list[CellResult]) -> list:
-    return [_grid_row(cell, str(cell.m), str(cell.k)) for cell in cells]
+def _cells_csv(lead: tuple, cells: list[CellResult]) -> str:
+    columns = lead + _CELL_COLUMNS
+    rows = [[*(_fmt(doc[name]) for name in columns), "0"] for doc in map(cell_to_json, cells)]
+    return _csv(",".join(columns) + ",wall_ms", rows)
 
 
 def phase_grid_csv(cells: list[CellResult]) -> str:
-    return _csv(PHASE_GRID_HEADER, _phase_grid_rows(cells))
+    return _cells_csv(("m", "k"), cells)
 
 
 def write_phase_grid_csv(path: str, cells: list[CellResult]) -> None:
-    _write_rows(path, PHASE_GRID_HEADER, _phase_grid_rows(cells))
+    _write_text(path, phase_grid_csv(cells))
 
 
 @dataclass
@@ -349,8 +349,7 @@ def run_noise_curve(config: ExperimentConfig) -> NoiseCurveResult:
     ss_tot = float(np.sum((err - float(np.mean(err))) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if config.output_path:
-        rows = [_grid_row(cell, _fmt(cell.epsilon)) for cell in cells]
-        _write_rows(config.output_path, NOISE_CURVE_HEADER, rows)
+        _write_text(config.output_path, _cells_csv(("epsilon",), cells))
     return NoiseCurveResult(cells=cells, slope=slope, r_squared=r2)
 
 
@@ -378,10 +377,7 @@ def run_impossibility_demo(config: ExperimentConfig) -> ImpossibilityReport:
         raise ValueError("impossibility demo requires m <= n")
     if config.field != REAL:
         raise ValueError("impossibility demo is a real-field construction")
-    seed = SeedSpec(config.master_seed, ("impossibility", m, k))
-    inst = make_instance(
-        REAL, config.n, k, m, seed, amplitude_model="gaussian", bias=_bias_for(config)
-    )
+    inst = _instance(config, k, m, SeedSpec(config.master_seed, ("impossibility", m, k)))
     A, b, x0 = inst.ensemble.A, inst.ensemble.b, inst.x0
     rank = int(np.linalg.matrix_rank(A))
     if rank < m:
@@ -420,9 +416,7 @@ def run_srip(config: ExperimentConfig):
     m = config.m_list[0]
     k = config.k_list[0]
     seed = SeedSpec(config.master_seed, ("srip", m, k))
-    inst = make_instance(
-        config.field, config.n, k, m, seed, amplitude_model="gaussian", bias=_bias_for(config)
-    )
+    inst = _instance(config, k, m, seed)
     A, b = inst.ensemble.A, inst.ensemble.b
     est_a = srip_profile(A, k, config.trials_per_cell, seed.child("profileA"))
     aug = np.column_stack([A, b])
@@ -444,13 +438,10 @@ def run_ripmap(config: ExperimentConfig):
     m = config.m_list[0]
     k = config.k_list[0]
     seed = SeedSpec(config.master_seed, ("ripmap", m, k))
-    inst = make_instance(
-        config.field, config.n, k, m, seed, amplitude_model="gaussian", bias=_bias_for(config)
-    )
+    inst = _instance(config, k, m, seed)
     est = rip_ratio_sample(inst.ensemble.A, inst.ensemble.b, k, config.trials_per_cell, seed)
     if config.output_path:
-        spread = est.upper_hat / est.lower_hat if est.lower_hat > 0 else math.inf
-        row = [str(k), str(est.samples), _fmt(est.lower_hat), _fmt(est.upper_hat), _fmt(spread)]
+        row = [str(k), str(est.samples), _fmt(est.lower_hat), _fmt(est.upper_hat), _fmt(est.spread)]
         _write_rows(config.output_path, "k,samples,ratio_min,ratio_max,spread", [row])
     return est
 
@@ -516,7 +507,7 @@ def run_lemma_suite(config: ExperimentConfig) -> dict:
         "moment_failures": moment_failures,
     }
     if config.output_path:
-        _write_text(config.output_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        write_json(summary, config.output_path)
     return summary
 
 
@@ -534,28 +525,21 @@ def _write_text(path: str, text: str) -> None:
             os.remove(tmp)
 
 
+def write_json(obj, path: str = "") -> None:
+    """Write ``obj`` as sorted, indented JSON to ``path``, or to stdout if it is empty."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _csv(header: str, rows: list) -> str:
     return "".join(line + "\n" for line in [header, *map(",".join, rows)])
 
 
 def _write_rows(path: str, header: str, rows: list) -> None:
     _write_text(path, _csv(header, rows))
-
-
-def _array_payload(arr: np.ndarray):
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
-    return arr.tolist()
-
-
-def _array_restore(payload, field: str):
-    if isinstance(payload, dict):
-        return np.asarray(payload["re"]) + 1j * np.asarray(payload["im"])
-    arr = np.asarray(payload, dtype=np.float64)
-    if field == COMPLEX:
-        arr = arr.astype(np.complex128)
-    return arr
 
 
 FORMAT_NAME = "affinepr-instance"
@@ -566,13 +550,13 @@ def save_instance(path: str, inst: ProblemInstance) -> None:
     """Write a checksummed, versioned, lossless JSON snapshot of an instance."""
     payload = {
         "field": inst.ensemble.field,
-        "A": _array_payload(inst.ensemble.A),
-        "b": _array_payload(inst.ensemble.b),
+        "A": array_to_json(inst.ensemble.A),
+        "b": array_to_json(inst.ensemble.b),
         "seed_meta": inst.ensemble.seed_meta,
-        "x0": _array_payload(inst.x0),
-        "w": _array_payload(inst.w),
-        "y": _array_payload(inst.y),
-        "ytilde": None if inst.ytilde is None else _array_payload(inst.ytilde),
+        "x0": array_to_json(inst.x0),
+        "w": array_to_json(inst.w),
+        "y": array_to_json(inst.y),
+        "ytilde": None if inst.ytilde is None else array_to_json(inst.ytilde),
         "k": inst.k,
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -600,18 +584,17 @@ def load_instance(path: str) -> ProblemInstance:
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if hashlib.sha256(body.encode("utf-8")).hexdigest() != doc.get("sha256"):
         raise InstanceFormatError("checksum mismatch")
-    field = payload["field"]
     ens = MeasurementEnsemble(
-        field=field,
-        A=_array_restore(payload["A"], field),
-        b=_array_restore(payload["b"], field),
+        field=payload["field"],
+        A=array_from_json(payload["A"]),
+        b=array_from_json(payload["b"]),
         seed_meta=payload["seed_meta"],
     )
     return ProblemInstance(
         ensemble=ens,
-        x0=_array_restore(payload["x0"], field),
-        w=_array_restore(payload["w"], REAL),
-        y=_array_restore(payload["y"], REAL),
+        x0=array_from_json(payload["x0"]),
+        w=array_from_json(payload["w"]),
+        y=array_from_json(payload["y"]),
         k=payload["k"],
-        ytilde=None if payload["ytilde"] is None else _array_restore(payload["ytilde"], REAL),
+        ytilde=None if payload["ytilde"] is None else array_from_json(payload["ytilde"]),
     )

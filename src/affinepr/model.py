@@ -38,6 +38,21 @@ def _checked(name: str, arr, shape: tuple) -> np.ndarray:
     return arr
 
 
+def array_to_json(arr) -> list | dict:
+    """JSON form of an array: nested lists, or {"re": ..., "im": ...} if complex."""
+    arr = np.asarray(arr)
+    if np.iscomplexobj(arr):
+        return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+    return arr.tolist()
+
+
+def array_from_json(payload) -> np.ndarray:
+    """The array that ``array_to_json`` encoded as ``payload``."""
+    if isinstance(payload, dict):
+        return np.asarray(payload["re"]) + 1j * np.asarray(payload["im"])
+    return np.asarray(payload)
+
+
 def as_signal(entries, field: str) -> np.ndarray:
     """Coerce ``entries`` to a 1-d signal array of the requested field.
 

@@ -38,6 +38,11 @@ class RipEstimate:
     witness_upper: object
     config: dict = dc_field(default_factory=dict)
 
+    @property
+    def spread(self) -> float:
+        """upper_hat / lower_hat, infinite when lower_hat is 0."""
+        return self.upper_hat / self.lower_hat if self.lower_hat > 0 else math.inf
+
 
 def _trial_seeds(seed: SeedSpec, label: str, trials: int):
     """The derived seeds of ``seed.child(label, t)`` for t = 0, 1, ...

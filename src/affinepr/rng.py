@@ -10,11 +10,12 @@ recorded seed metadata alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import COMPLEX, REAL, MeasurementEnsemble, ProblemInstance
+from .model import COMPLEX, REAL, MeasurementEnsemble, ProblemInstance, array_from_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -165,19 +166,32 @@ def gen_noise(m: int, epsilon_budget: float, model: str, seed: SeedSpec) -> np.n
     raise ValueError(f"unknown noise model {model!r}")
 
 
-def _normalize_bias(field: str, bias) -> dict:
-    """Canonical bias spec; None picks the field default (constant c=1 for
-    real, standard complex Gaussian for complex)."""
+def normalize_bias(field: str, bias, m: int | None = None) -> dict:
+    """Canonical bias spec, checked against the field and, when given, m.
+
+    None picks the field default (constant c=1 for real, standard complex
+    Gaussian for complex) and a number c means the constant spec.  A real
+    constant needs c > 0, ``complex_gaussian`` a complex field, and a
+    ``vector`` spec's values (see ``model.array_to_json``) m entries.
+    """
     if bias is None:
         return {"kind": "constant", "c": 1.0} if field == REAL else {"kind": "complex_gaussian"}
     if isinstance(bias, (int, float)):
-        return {"kind": "constant", "c": float(bias)}
+        bias = {"kind": "constant", "c": bias}
     if not isinstance(bias, dict) or "kind" not in bias:
         raise ValueError(f"unsupported bias spec {bias!r}")
     kind = bias["kind"]
     if kind == "constant":
-        return {"kind": "constant", "c": float(bias["c"])}
+        c = bias.get("c")
+        if not (isinstance(c, numbers.Real) and math.isfinite(c)):
+            raise ValueError("constant bias needs a finite number 'c'")
+        if field == REAL and c <= 0:
+            raise ValueError("constant bias on the real field needs a positive 'c'")
+        return {"kind": "constant", "c": float(c)}
     if kind == "vector":
+        length = array_from_json(bias["values"]).shape
+        if m is not None and length != (m,):
+            raise ValueError(f"bias vector has shape {length}, but m = {m}")
         return {"kind": "vector", "values": bias["values"]}
     if kind == "complex_gaussian":
         if field == REAL:
@@ -189,14 +203,7 @@ def _normalize_bias(field: str, bias) -> dict:
 def _make_bias(field: str, m: int, bias: dict, seed: SeedSpec):
     kind = bias["kind"]
     if kind == "vector":
-        vals = bias["values"]
-        if isinstance(vals, dict):
-            b = np.asarray(vals["re"], dtype=np.float64) + 1j * np.asarray(vals["im"], dtype=np.float64)
-        else:
-            b = np.asarray(vals, dtype=np.float64)
-        if b.shape != (m,):
-            raise ValueError("user-supplied bias has wrong length")
-        return b
+        return array_from_json(bias["values"])
     if kind == "constant":
         if field == REAL:
             return gen_bias_real(m, bias["c"])
@@ -212,7 +219,7 @@ def make_ensemble(field: str, m: int, n: int, seed: SeedSpec, bias=None) -> Meas
         A = gen_complex_gaussian_matrix(m, n, seed.child("A"))
     else:
         raise ValueError(f"unknown field {field!r}")
-    bias = _normalize_bias(field, bias)
+    bias = normalize_bias(field, bias, m)
     b = _make_bias(field, m, bias, seed)
     meta = {
         "generator": "affinepr.ensemble.v1",

@@ -82,6 +82,30 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "phase_grid", "bias": {"kind": "file"}})
 
 
+@pytest.mark.parametrize(
+    "bias",
+    [
+        {"kind": "complex_gaussian"},
+        {"kind": "constant", "c": 0.0},
+        {"kind": "constant", "c": -1.0},
+        {"kind": "file", "path": "bias24.json"},
+    ],
+    ids=["complex-on-real", "zero-c", "negative-c", "file-length"],
+)
+def test_config_rejects_bias_before_any_trial(tmp_path, monkeypatch, bias):
+    # These used to pass validate and fail inside the first trial (or, for the
+    # file, the m=32 cell), after the grid had written its sidecar.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bias24.json").write_text(json.dumps([0.5] * 24))
+    grid = {**SMALL_GRID, "bias": bias, "output_path": str(tmp_path / "grid.csv")}
+    with pytest.raises(ValueError, match="bias"):
+        ExperimentConfig.from_dict(grid)
+    unchecked = ExperimentConfig(**{**grid, "solver": SolverOptions(**grid["solver"])})
+    with pytest.raises(ValueError, match="bias"):
+        run_phase_grid(unchecked)
+    assert os.listdir(tmp_path) == ["bias24.json"]
+
+
 def test_wilson_interval_reference():
     # independent reference implementation of the Wilson score interval
     def reference(s, n, z=1.959963984540054):
@@ -149,6 +173,47 @@ def test_phase_grid_resumes_after_interrupt(tmp_path, monkeypatch):
     assert resumed == [40]  # the finished cells were loaded from the sidecar
     assert out_resume.read_bytes() == out_full.read_bytes()
     assert not os.path.exists(sidecar)
+
+
+def test_resume_reruns_every_cell_when_the_bias_file_changes(tmp_path, monkeypatch):
+    import affinepr.harness as hmod
+
+    bias_path = tmp_path / "bias.json"
+    grid = {
+        **SMALL_GRID,
+        "k_list": [1, 2],
+        "m_list": [24],
+        "trials_per_cell": 2,
+        "bias": {"kind": "file", "path": str(bias_path)},
+    }
+    out = tmp_path / "grid.csv"
+    original = hmod.run_cell
+    calls = []
+
+    def interrupted_after_one(config, m, k, eps):
+        calls.append(k)
+        if len(calls) > 1:
+            raise KeyboardInterrupt
+        return original(config, m, k, eps)
+
+    bias_path.write_text(json.dumps([0.5] * 24))
+    monkeypatch.setattr(hmod, "run_cell", interrupted_after_one)
+    with pytest.raises(KeyboardInterrupt):
+        run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(out)}))
+
+    bias_path.write_text(json.dumps([0.25, 0.75] * 12))
+    resumed = []
+
+    def counting(config, m, k, eps):
+        resumed.append(k)
+        return original(config, m, k, eps)
+
+    monkeypatch.setattr(hmod, "run_cell", counting)
+    run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(out)}))
+    assert resumed == [1, 2]  # the recorded cell was drawn with the old bias
+    fresh = tmp_path / "fresh.csv"
+    run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(fresh)}))
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_phase_grid_resumes_past_torn_last_line(tmp_path, monkeypatch):
