@@ -5,10 +5,6 @@ unknown keys rejected) and a master seed.  Per-trial randomness comes from
 streams derived as (master_seed, experiment, cell, trial), so results are
 byte-reproducible regardless of execution order, and interrupted grid
 runs resume from a sidecar file of completed cells.
-
-Wall-clock timings are kept on the in-memory results only; serialized
-output holds a zero in the wall_ms column so that reruns of the same
-config are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import math
 import os
 import statistics
 import sys
-import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
@@ -135,7 +130,6 @@ class CellResult:
     median_plain_error: float
     median_global_phase_error: float
     median_objective_gap: float
-    wall_time_ms: int
 
 
 @dataclass
@@ -219,9 +213,7 @@ def _run_trial(config: ExperimentConfig, m: int, k: int, epsilon: float, trial: 
 
 
 def run_cell(config: ExperimentConfig, m: int, k: int, epsilon: float) -> tuple[CellResult, list]:
-    start = time.monotonic()
     trials = [_run_trial(config, m, k, epsilon, t) for t in range(config.trials_per_cell)]
-    wall = int((time.monotonic() - start) * 1000)
     cell = CellResult(
         m=m,
         k=k,
@@ -231,7 +223,6 @@ def run_cell(config: ExperimentConfig, m: int, k: int, epsilon: float) -> tuple[
         median_plain_error=statistics.median(t.plain for t in trials),
         median_global_phase_error=statistics.median(t.global_phase for t in trials),
         median_objective_gap=statistics.median(t.objective_gap for t in trials),
-        wall_time_ms=wall,
     )
     return cell, trials
 
@@ -310,8 +301,8 @@ def run_phase_grid(config: ExperimentConfig) -> list[CellResult]:
 
 def _cells_csv(lead: tuple, cells: list[CellResult]) -> str:
     columns = lead + _CELL_COLUMNS
-    rows = [[*(_fmt(doc[name]) for name in columns), "0"] for doc in map(cell_to_json, cells)]
-    return _csv(",".join(columns) + ",wall_ms", rows)
+    rows = [[_fmt(doc[name]) for name in columns] for doc in map(cell_to_json, cells)]
+    return _csv(",".join(columns), rows)
 
 
 def phase_grid_csv(cells: list[CellResult]) -> str:

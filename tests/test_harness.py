@@ -131,7 +131,7 @@ def test_phase_grid_deterministic_csv(tmp_path):
     run_phase_grid(cfg2)
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
-    assert header == "m,k,trials,successes,wilson_lo,wilson_hi,median_err,median_phase_err,wall_ms"
+    assert header == "m,k,trials,successes,wilson_lo,wilson_hi,median_err,median_phase_err"
 
 
 def test_phase_grid_resumes_after_interrupt(tmp_path, monkeypatch):
@@ -424,7 +424,7 @@ def test_csv_number_format(tmp_path):
     assert lines[-1] == ""  # trailing LF
     row = lines[1].split(",")
     assert row[0] == "24" and row[1] == "2"
-    assert row[-1] == "0"  # deterministic wall_ms column
+    assert len(row) == 8  # no wall-clock column
 
 
 def test_run_cell_trial_metrics():
