@@ -172,7 +172,8 @@ def normalize_bias(field: str, bias, m: int | None = None) -> dict:
     None picks the field default (constant c=1 for real, standard complex
     Gaussian for complex) and a number c means the constant spec.  A real
     constant needs c > 0, ``complex_gaussian`` a complex field, and a
-    ``vector`` spec's values (see ``model.array_to_json``) m entries.
+    ``vector`` spec's values (see ``model.array_to_json``) m entries, real
+    ones on the real field.
     """
     if bias is None:
         return {"kind": "constant", "c": 1.0} if field == REAL else {"kind": "complex_gaussian"}
@@ -189,9 +190,11 @@ def normalize_bias(field: str, bias, m: int | None = None) -> dict:
             raise ValueError("constant bias on the real field needs a positive 'c'")
         return {"kind": "constant", "c": float(c)}
     if kind == "vector":
-        length = array_from_json(bias["values"]).shape
-        if m is not None and length != (m,):
-            raise ValueError(f"bias vector has shape {length}, but m = {m}")
+        values = array_from_json(bias["values"])
+        if m is not None and values.shape != (m,):
+            raise ValueError(f"bias vector has shape {values.shape}, but m = {m}")
+        if field == REAL and np.iscomplexobj(values):
+            raise ValueError("a complex bias vector requires a complex ensemble")
         return {"kind": "vector", "values": bias["values"]}
     if kind == "complex_gaussian":
         if field == REAL:

@@ -89,21 +89,24 @@ def test_config_validation_errors():
         {"kind": "constant", "c": 0.0},
         {"kind": "constant", "c": -1.0},
         {"kind": "file", "path": "bias24.json"},
+        {"kind": "file", "path": "complex24.json"},
     ],
-    ids=["complex-on-real", "zero-c", "negative-c", "file-length"],
+    ids=["complex-on-real", "zero-c", "negative-c", "file-length", "complex-file-on-real"],
 )
 def test_config_rejects_bias_before_any_trial(tmp_path, monkeypatch, bias):
     # These used to pass validate and fail inside the first trial (or, for the
-    # file, the m=32 cell), after the grid had written its sidecar.
+    # short file, the m=32 cell), after the grid had written its sidecar.  The
+    # complex file's imaginary parts were dropped with only a warning.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bias24.json").write_text(json.dumps([0.5] * 24))
+    (tmp_path / "complex24.json").write_text(json.dumps({"re": [0.5] * 24, "im": [0.1] * 24}))
     grid = {**SMALL_GRID, "bias": bias, "output_path": str(tmp_path / "grid.csv")}
     with pytest.raises(ValueError, match="bias"):
         ExperimentConfig.from_dict(grid)
     unchecked = ExperimentConfig(**{**grid, "solver": SolverOptions(**grid["solver"])})
     with pytest.raises(ValueError, match="bias"):
         run_phase_grid(unchecked)
-    assert os.listdir(tmp_path) == ["bias24.json"]
+    assert sorted(os.listdir(tmp_path)) == ["bias24.json", "complex24.json"]
 
 
 def test_wilson_interval_reference():
