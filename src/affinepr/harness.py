@@ -167,6 +167,7 @@ def _bias_spec(bias: dict) -> dict:
 
 
 def _instance(config: ExperimentConfig, k: int, m: int, seed: SeedSpec, epsilon: float = 0.0):
+    """The instance every experiment of ``config`` draws from ``seed``."""
     return make_instance(
         config.field,
         config.n,

@@ -166,8 +166,8 @@ def gen_noise(m: int, epsilon_budget: float, model: str, seed: SeedSpec) -> np.n
     raise ValueError(f"unknown noise model {model!r}")
 
 
-def normalize_bias(field: str, bias, m: int | None = None) -> dict:
-    """Canonical bias spec, checked against the field and, when given, m.
+def normalize_bias(field: str, bias, m: int) -> dict:
+    """Canonical bias spec for ``m`` measurements, checked against the field.
 
     None picks the field default (constant c=1 for real, standard complex
     Gaussian for complex) and a number c means the constant spec.  A real
@@ -191,7 +191,7 @@ def normalize_bias(field: str, bias, m: int | None = None) -> dict:
         return {"kind": "constant", "c": float(c)}
     if kind == "vector":
         values = array_from_json(bias["values"])
-        if m is not None and values.shape != (m,):
+        if values.shape != (m,):
             raise ValueError(f"bias vector has shape {values.shape}, but m = {m}")
         if field == REAL and np.iscomplexobj(values):
             raise ValueError("a complex bias vector requires a complex ensemble")
