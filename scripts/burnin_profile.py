@@ -86,7 +86,8 @@ def complex_levels(trials: int) -> dict:
 
     def recording(D, c, svd):
         res = direct(D, c, svd)
-        calls.append((res.primal_residual / (1.0 + float(np.linalg.norm(c))), res.x))
+        residual = float(np.linalg.norm(D @ res.x - c))
+        calls.append((residual / (1.0 + float(np.linalg.norm(c))), res.x))
         return res
 
     solver._direct = recording

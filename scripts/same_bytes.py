@@ -17,7 +17,12 @@ working tree.  Each tree runs in its own fresh interpreter, which imports
   m=112) with ``restarts=3``, which run the random-pattern restart chains and
   the phase loop;
 * the m=40 cell of acceptance criterion 2 (100 trials), read from
-  ``tests/fixtures/calibration.json``.
+  ``tests/fixtures/calibration.json``;
+* the instance files that ``affinepr gen`` saves (``generate_instance``)
+  for a real constant-bias config and a complex intensity-mode config, each
+  with a ``<name> regenerated`` digest of the arrays (A, b, x0, w, y and
+  ytilde) that ``regenerate_instance`` rebuilds from the file's seed
+  metadata.
 
 Every experiment that solves also gets a ``<name> solves m=<m>`` digest per
 number of measurements m over each solve's report (``xhat`` bytes,
@@ -137,6 +142,33 @@ SOLVER_GRIDS = {
 }
 
 
+# Instance files: their bytes hold the seed metadata, and regenerating from
+# that metadata reruns the signal, noise and measurement draws.
+INSTANCES = {
+    "instance-real.json": {
+        "experiment": "phase_grid",
+        "field": "real",
+        "n": 16,
+        "k_list": [2],
+        "m_list": [24],
+        "epsilon_list": [0.05],
+        "bias": {"kind": "constant", "c": 1.0},
+        "master_seed": 43,
+    },
+    "instance-complex-intensity.json": {
+        "experiment": "phase_grid",
+        "field": "complex",
+        "n": 16,
+        "k_list": [2],
+        "m_list": [64],
+        "epsilon_list": [0.02],
+        "bias": {"kind": "complex_gaussian"},
+        "master_seed": 44,
+        "solver": {"mode": "intensity"},
+    },
+}
+
+
 def criterion_2_cell() -> dict:
     """The m=40 cell of tests/test_acceptance.py::test_criterion_02_real_exact_recovery."""
     with open(os.path.join(ROOT, "tests", "fixtures", "calibration.json"), encoding="utf-8") as fh:
@@ -155,13 +187,16 @@ def criterion_2_cell() -> dict:
 
 
 # Runs in a fresh interpreter with PYTHONPATH set to one tree's src.
-# argv: src directory, repository root, output directory, fixed configs.
+# argv: src directory, repository root, output directory, fixed configs,
+# instance configs.
 # Prints one JSON line: {"digests": {output: sha256}, "flags": {cell: "0110..."}}.
 CHILD = r"""
 import hashlib, importlib.util, json, os, sys
 sys.dont_write_bytecode = True
-src, root, out_dir, jobs = sys.argv[1], sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
+src, root, out_dir = sys.argv[1], sys.argv[2], sys.argv[3]
+jobs, instances = json.loads(sys.argv[4]), json.loads(sys.argv[5])
 import affinepr.harness as harness
+from affinepr import regenerate_instance
 if not os.path.abspath(harness.__file__).startswith(os.path.abspath(src) + os.sep):
     raise SystemExit(f"imported affinepr from {harness.__file__}, not from {src}")
 
@@ -222,6 +257,15 @@ for name, cfg in jobs:
         digests[f"{name} solves m={m}"] = hashlib.sha256(b"".join(solves[m])).hexdigest()
     for m, k, epsilon, bits in cells:
         flags[f"{name} m={m} k={k} eps={epsilon!r}"] = bits
+for name, cfg in instances.items():
+    path = os.path.join(out_dir, name)
+    harness.save_instance(path, harness.generate_instance(harness.ExperimentConfig.from_dict(cfg)))
+    with open(path, "rb") as fh:
+        digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    reg = regenerate_instance(harness.load_instance(path).ensemble.seed_meta)
+    arrays = (reg.ensemble.A, reg.ensemble.b, reg.x0, reg.w, reg.y, reg.ytilde)
+    blob = b"".join(b"-" if a is None else a.tobytes() for a in arrays)
+    digests[f"{name} regenerated"] = hashlib.sha256(blob).hexdigest()
 print(json.dumps({"digests": digests, "flags": flags}))
 """
 
@@ -235,7 +279,7 @@ def outcomes(src: str) -> dict:
     jobs = json.dumps(CRITERION_12 | SOLVER_GRIDS | {"criterion-2-m40.csv": criterion_2_cell()})
     with tempfile.TemporaryDirectory() as out_dir:
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, src, ROOT, out_dir, jobs],
+            [sys.executable, "-c", CHILD, src, ROOT, out_dir, jobs, json.dumps(INSTANCES)],
             cwd=out_dir,
             env=env,
             capture_output=True,

@@ -85,12 +85,14 @@ class ExperimentConfig:
             raise ValueError("epsilons must be nonnegative")
         if sorted(self.epsilon_list) != list(self.epsilon_list):
             raise ValueError("epsilon_list must be sorted ascending")
-        kind = self.bias.get("kind")
-        if kind not in ("constant", "complex_gaussian", "file"):
-            raise ValueError(f"unknown bias kind {kind!r}")
-        bias = _bias_spec(self.bias)
+        if self.bias.get("kind") == "file":
+            # Read once: every trial, and the resume digest, use these values.
+            if not isinstance(self.bias.get("path"), str):
+                raise ValueError("file bias needs a string 'path'")
+            with open(self.bias["path"], "r", encoding="utf-8") as fh:
+                self.bias = {"kind": "vector", "values": json.load(fh)}
         for m in self.m_list:
-            normalize_bias(self.field, bias, m)
+            normalize_bias(self.field, self.bias, m)
         return self
 
     @classmethod
@@ -115,9 +117,9 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def digest(self) -> str:
-        """SHA-256 of the config, with a file bias's values in place of its path."""
-        doc = dict(asdict(self), bias=_bias_spec(self.bias))
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+        """SHA-256 of the config; after ``validate`` a file bias holds its values, not its path."""
+        doc = json.dumps(asdict(self), sort_keys=True)
+        return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -155,17 +157,6 @@ def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def _bias_spec(bias: dict) -> dict:
-    """The rng bias spec of a config's ``bias``: a file spec becomes the vector
-    its JSON file holds (see ``model.array_to_json``)."""
-    if bias.get("kind") != "file":
-        return bias
-    if not isinstance(bias.get("path"), str):
-        raise ValueError("file bias needs a string 'path'")
-    with open(bias["path"], "r", encoding="utf-8") as fh:
-        return {"kind": "vector", "values": json.load(fh)}
-
-
 def _instance(config: ExperimentConfig, k: int, m: int, seed: SeedSpec, epsilon: float = 0.0):
     """The instance every experiment of ``config`` draws from ``seed``."""
     return make_instance(
@@ -174,7 +165,7 @@ def _instance(config: ExperimentConfig, k: int, m: int, seed: SeedSpec, epsilon:
         k,
         m,
         seed,
-        bias=_bias_spec(config.bias),
+        bias=config.bias,
         epsilon=epsilon,
         with_intensity=config.solver.mode == "intensity",
     )

@@ -185,16 +185,11 @@ def lifted_distance_check(u, v) -> tuple[float, float, bool]:
     if u.shape != v.shape:
         raise ValueError("u and v must have equal length")
     inner = complex(np.vdot(u, v))
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    scale = max(1.0, nu * nv)
+    scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
     if inner.real < -1e-12 * scale or abs(inner.imag) > 1e-12 * scale:
         raise ValueError("precondition <u, v> >= 0 violated; phase-align first")
-    lhs_sq = nu**4 + nv**4 - 2.0 * abs(inner) ** 2
-    lhs = math.sqrt(max(lhs_sq, 0.0))
-    rhs = nu * float(np.linalg.norm(u - v)) / math.sqrt(2.0)
-    holds = lhs >= rhs - 1e-9 * max(1.0, nu**2, nv**2)
-    return lhs, rhs, holds
+    lhs, rhs, holds = batch_lifted_distance_check(u[None], v[None])
+    return float(lhs[0]), float(rhs[0]), bool(holds[0])
 
 
 def batch_lifted_distance_check(U, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

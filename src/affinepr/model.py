@@ -53,26 +53,14 @@ def array_from_json(payload) -> np.ndarray:
     return np.asarray(payload)
 
 
-def as_signal(entries, field: str) -> np.ndarray:
-    """Coerce ``entries`` to a 1-d signal array of the requested field.
-
-    Real-field signals are float64 and must carry no imaginary part;
-    complex-field signals are complex128.
-    """
+def _cast(name: str, arr, field: str) -> np.ndarray:
+    """``arr`` in the dtype of ``field``; complex entries are refused on the real field."""
     if field not in _DTYPES:
         raise ValueError(f"unknown field {field!r}")
-    arr = np.asarray(entries)
-    if field == REAL:
-        if np.iscomplexobj(arr):
-            if np.any(arr.imag != 0):
-                raise ValueError("real-field signal has nonzero imaginary part")
-            arr = arr.real
-        arr = np.asarray(arr, dtype=np.float64)
-    else:
-        arr = np.asarray(arr, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"signal must be 1-d, got shape {arr.shape}")
-    return arr
+    arr = np.asarray(arr)
+    if field == REAL and np.iscomplexobj(arr):
+        raise ValueError(f"{name} is complex, but the field is real")
+    return np.asarray(arr, dtype=_DTYPES[field])
 
 
 @dataclass(frozen=True)
@@ -89,11 +77,8 @@ class MeasurementEnsemble:
     seed_meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.field not in _DTYPES:
-            raise ValueError(f"unknown field {self.field!r}")
-        dt = _DTYPES[self.field]
-        A = np.asarray(self.A, dtype=dt)
-        b = np.asarray(self.b, dtype=dt)
+        A = _cast("A", self.A, self.field)
+        b = _cast("b", self.b, self.field)
         if A.ndim != 2:
             raise ValueError("A must be a 2-d matrix")
         if b.ndim != 1 or b.shape[0] != A.shape[0]:
@@ -124,8 +109,8 @@ class ProblemInstance:
     ytilde: np.ndarray | None = None
 
     def __post_init__(self):
-        x0 = as_signal(self.x0, self.ensemble.field)
-        if x0.shape[0] != self.ensemble.n:
+        x0 = _cast("x0", self.x0, self.ensemble.field)
+        if x0.shape != (self.ensemble.n,):
             raise ValueError("x0 length does not match ensemble")
         w = np.asarray(self.w, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
@@ -149,19 +134,11 @@ class ErrorMetrics:
     relative_plain: float
 
 
-def _check_compatible(ensemble: MeasurementEnsemble, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    if np.iscomplexobj(x) and ensemble.field == REAL:
-        raise ValueError("complex signal passed to a real ensemble")
-    x = np.asarray(x, dtype=_DTYPES[ensemble.field])
-    if x.shape != (ensemble.n,):
-        raise ValueError(f"signal shape {x.shape} does not match n={ensemble.n}")
-    return x
-
-
 def forward_model(ensemble: MeasurementEnsemble, x, w=None) -> np.ndarray:
     """Magnitude measurements y_j = |<a_j, x> + b_j| + w_j."""
-    x = _check_compatible(ensemble, x)
+    x = _cast("x", x, ensemble.field)
+    if x.shape != (ensemble.n,):
+        raise ValueError(f"signal shape {x.shape} does not match n={ensemble.n}")
     mags = np.abs(ensemble.A @ x + ensemble.b)
     if w is None:
         return mags
@@ -173,9 +150,7 @@ def forward_model(ensemble: MeasurementEnsemble, x, w=None) -> np.ndarray:
 
 def lifted_intensity(ensemble: MeasurementEnsemble, x) -> np.ndarray:
     """Intensity measurements |<a_j, x> + b_j|^2 (the rank-one lifted map)."""
-    x = _check_compatible(ensemble, x)
-    v = ensemble.A @ x + ensemble.b
-    return np.abs(v) ** 2
+    return forward_model(ensemble, x) ** 2
 
 
 def bias_band(b, fraction: float = 0.5) -> tuple[float, float]:

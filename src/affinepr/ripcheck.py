@@ -62,15 +62,9 @@ def srip_extremes_for_x(A, x) -> tuple[float, float]:
     """
     A = _checked("A", A, (None, None))
     x = _checked("x", x, (A.shape[1],))
-    nx2 = float(np.real(np.vdot(x, x)))
-    if nx2 == 0.0:
+    if float(np.real(np.vdot(x, x))) == 0.0:
         raise ValueError("x must be nonzero")
-    sq = np.abs(A @ x) ** 2
-    keep = math.ceil(A.shape[0] / 2)
-    part = np.partition(sq, keep - 1)
-    low = float(np.sum(part[:keep]))
-    high = float(np.sum(sq))
-    return low / nx2, high / nx2
+    return _sparse_extremes(A, slice(None), x, math.ceil(A.shape[0] / 2))
 
 
 def _sparse_extremes(A, support, values, keep):

@@ -15,9 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import COMPLEX, REAL, MeasurementEnsemble, ProblemInstance, array_from_json
+from .model import (
+    COMPLEX,
+    REAL,
+    MeasurementEnsemble,
+    ProblemInstance,
+    array_from_json,
+    forward_model,
+    lifted_intensity,
+)
 
 _MASK64 = (1 << 64) - 1
+
+# The signal and noise laws of make_instance, as its seed metadata names them.
+_MODELS = {"amplitude_model": "gaussian", "noise_model": "sphere"}
 
 
 def _splitmix64(z: int) -> int:
@@ -100,50 +111,27 @@ def gen_bias_complex(m: int, seed: SeedSpec) -> np.ndarray:
     return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
 
 
-def gen_sparse_signal(n: int, k: int, field: str, amplitude_model: str, seed: SeedSpec) -> np.ndarray:
-    """Exactly k-sparse signal with support uniform over k-subsets.
-
-    amplitude_model: 'unit' (signs / unit-modulus phases), 'gaussian'
-    (standard normal scalars), or 'flat' (all ones).
-    """
+def gen_sparse_signal(n: int, k: int, field: str, seed: SeedSpec) -> np.ndarray:
+    """Exactly k-sparse signal with support uniform over k-subsets and standard
+    normal amplitudes (real, or complex with E|x_j|^2 = 1), none of them zero."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = seed.rng()
     support = rng.choice(n, size=k, replace=False)
     if field == REAL:
-        if amplitude_model == "unit":
-            vals = rng.choice([-1.0, 1.0], size=k)
-        elif amplitude_model == "gaussian":
-            vals = rng.standard_normal(k)
-            vals[vals == 0.0] = 1.0
-        elif amplitude_model == "flat":
-            vals = np.ones(k)
-        else:
-            raise ValueError(f"unknown amplitude model {amplitude_model!r}")
-        x = np.zeros(n)
+        vals = rng.standard_normal(k)
     elif field == COMPLEX:
-        if amplitude_model == "unit":
-            vals = np.exp(2j * np.pi * rng.random(k))
-        elif amplitude_model == "gaussian":
-            vals = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
-            vals[vals == 0.0] = 1.0
-        elif amplitude_model == "flat":
-            vals = np.ones(k, dtype=np.complex128)
-        else:
-            raise ValueError(f"unknown amplitude model {amplitude_model!r}")
-        x = np.zeros(n, dtype=np.complex128)
+        vals = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
     else:
         raise ValueError(f"unknown field {field!r}")
+    vals[vals == 0.0] = 1.0
+    x = np.zeros(n, dtype=vals.dtype)
     x[support] = vals
     return x
 
 
-def gen_noise(m: int, epsilon_budget: float, model: str, seed: SeedSpec) -> np.ndarray:
-    """Real noise vector with ||w||_2 <= epsilon_budget.
-
-    'sphere' is uniform on the radius-epsilon sphere; 'gaussian_clipped' is
-    standard Gaussian rescaled only when its norm exceeds the budget.
-    """
+def gen_noise(m: int, epsilon_budget: float, seed: SeedSpec) -> np.ndarray:
+    """Real noise vector drawn uniformly on the sphere ||w||_2 = epsilon_budget."""
     if epsilon_budget < 0:
         raise ValueError("epsilon_budget must be nonnegative")
     if m < 1:
@@ -157,13 +145,7 @@ def gen_noise(m: int, epsilon_budget: float, model: str, seed: SeedSpec) -> np.n
         g = np.zeros(m)
         g[0] = 1.0
         nrm = 1.0
-    if model == "sphere":
-        return g * (epsilon_budget / nrm)
-    if model == "gaussian_clipped":
-        if nrm > epsilon_budget:
-            return g * (epsilon_budget / nrm)
-        return g
-    raise ValueError(f"unknown noise model {model!r}")
+    return g * (epsilon_budget / nrm)
 
 
 def normalize_bias(field: str, bias, m: int) -> dict:
@@ -242,29 +224,24 @@ def make_instance(
     k: int,
     m: int,
     seed: SeedSpec,
-    amplitude_model: str = "gaussian",
     bias=None,
     epsilon: float = 0.0,
-    noise_model: str = "sphere",
     with_intensity: bool = False,
 ) -> ProblemInstance:
     """Generate a full problem instance; regenerable from its seed_meta."""
     ens = make_ensemble(field, m, n, seed, bias=bias)
-    x0 = gen_sparse_signal(n, k, field, amplitude_model, seed.child("x0"))
-    w = gen_noise(m, epsilon, noise_model, seed.child("w"))
-    y = np.abs(ens.A @ x0 + ens.b) + w
-    ytilde = None
-    if with_intensity:
-        ytilde = np.abs(ens.A @ x0 + ens.b) ** 2 + w
+    x0 = gen_sparse_signal(n, k, field, seed.child("x0"))
+    w = gen_noise(m, epsilon, seed.child("w"))
+    y = forward_model(ens, x0, w)
+    ytilde = lifted_intensity(ens, x0) + w if with_intensity else None
     meta = dict(ens.seed_meta)
     meta.update(
         {
             "generator": "affinepr.instance.v1",
             "k": k,
-            "amplitude_model": amplitude_model,
             "epsilon": float(epsilon),
-            "noise_model": noise_model,
             "with_intensity": bool(with_intensity),
+            **_MODELS,
         }
     )
     ens = MeasurementEnsemble(field=ens.field, A=ens.A, b=ens.b, seed_meta=meta)
@@ -275,6 +252,8 @@ def regenerate_instance(seed_meta: dict) -> ProblemInstance:
     """Rebuild a ProblemInstance from instance seed metadata alone."""
     if seed_meta.get("generator") != "affinepr.instance.v1":
         raise ValueError("seed_meta does not describe a generated instance")
+    if any(seed_meta.get(key) != name for key, name in _MODELS.items()):
+        raise ValueError(f"seed_meta names models other than the ones drawn here, {_MODELS}")
     seed = SeedSpec(seed_meta["master_seed"], tuple(seed_meta["labels"]))
     return make_instance(
         field=seed_meta["field"],
@@ -282,9 +261,7 @@ def regenerate_instance(seed_meta: dict) -> ProblemInstance:
         k=seed_meta["k"],
         m=seed_meta["m"],
         seed=seed,
-        amplitude_model=seed_meta["amplitude_model"],
         bias=seed_meta["bias"],
         epsilon=seed_meta["epsilon"],
-        noise_model=seed_meta["noise_model"],
         with_intensity=seed_meta["with_intensity"],
     )

@@ -94,7 +94,6 @@ class BpdnResult:
     x: np.ndarray
     iterations: int
     converged: bool
-    primal_residual: float
 
     @property
     def objective(self) -> float:
@@ -302,7 +301,7 @@ def _direct(D, c, svd: _Svd) -> BpdnResult:
     U, s, Vh = svd
     x = Vh.conj().T @ ((U.conj().T @ c) / s)
     primal = float(np.linalg.norm(D @ x - c))
-    return BpdnResult(x, 0, primal <= 1e-9 * (1.0 + float(np.linalg.norm(c))), primal)
+    return BpdnResult(x, 0, primal <= 1e-9 * (1.0 + float(np.linalg.norm(c))))
 
 
 def bpdn(
@@ -342,7 +341,7 @@ def bpdn(
     cnorm = float(np.linalg.norm(c))
     if epsilon >= cnorm:
         # 0 is feasible and l1-minimal.
-        return BpdnResult(np.zeros(n, dtype=D.dtype), 0, True, 0.0)
+        return BpdnResult(np.zeros(n, dtype=D.dtype), 0, True)
 
     svd = svd if svd is not None else _thin_svd(D)
     if epsilon == 0.0 and svd.s.size == n:
@@ -360,7 +359,7 @@ def bpdn(
                 start = None
             x, steps, certified = _bp_homotopy(Vh, proj / s, opts.inner_max, start)
             primal = float(np.linalg.norm(D @ x - c))
-            return BpdnResult(x, steps, certified and primal <= feas_tol, primal)
+            return BpdnResult(x, steps, certified and primal <= feas_tol)
         if np.linalg.norm(c - U @ proj) <= feas_tol:
             # D x = c iff V^H x = S^-1 U^H c, and ADMM's rate no longer
             # depends on cond(D).  An inconsistent system keeps the raw rows.
@@ -418,7 +417,7 @@ def bpdn(
             D_orig, c_orig, epsilon, feas_tol, z
         ):
             z = cand
-    return BpdnResult(z, it, converged, primal)
+    return BpdnResult(z, it, converged)
 
 
 def _phase_of(v: np.ndarray) -> np.ndarray:

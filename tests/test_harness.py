@@ -219,6 +219,46 @@ def test_resume_reruns_every_cell_when_the_bias_file_changes(tmp_path, monkeypat
     assert out.read_bytes() == fresh.read_bytes()
 
 
+def test_file_bias_is_read_once_per_run(tmp_path, monkeypatch):
+    import builtins
+
+    import affinepr.harness as hmod
+
+    bias_path = tmp_path / "bias.json"
+    grid = {
+        **SMALL_GRID,
+        "k_list": [1, 2],
+        "m_list": [24],
+        "trials_per_cell": 2,
+        "bias": {"kind": "file", "path": str(bias_path)},
+    }
+    bias_path.write_text(json.dumps([0.5] * 24))
+    fresh = tmp_path / "fresh.csv"
+    run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(fresh)}))
+
+    real_open = builtins.open
+    reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(bias_path) and "r" in mode:
+            reads.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    original = hmod.run_cell
+
+    def rewriting(config, m, k, eps):
+        out = original(config, m, k, eps)
+        bias_path.write_text(json.dumps([0.25, 0.75] * 12))
+        return out
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(hmod, "run_cell", rewriting)
+    out = tmp_path / "grid.csv"
+    run_phase_grid(ExperimentConfig.from_dict({**grid, "output_path": str(out)}))
+    assert len(reads) == 1  # when the config was loaded
+    assert out.read_bytes() == fresh.read_bytes()  # the rewrite reached no trial
+
+
 def test_phase_grid_resumes_past_torn_last_line(tmp_path, monkeypatch):
     import affinepr.harness as hmod
 

@@ -199,6 +199,11 @@ def test_ensemble_validation():
         MeasurementEnsemble("real", np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         MeasurementEnsemble("quaternion", np.zeros((2, 2)), np.zeros(2))
+    # The real field refuses complex A or b instead of dropping their imaginary parts.
+    with pytest.raises(ValueError, match="A is complex"):
+        MeasurementEnsemble("real", np.eye(2) + 0.5j, np.ones(2))
+    with pytest.raises(ValueError, match="b is complex"):
+        MeasurementEnsemble("real", np.eye(2), np.ones(2) + 0.5j)
     ens = MeasurementEnsemble("real", np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
         ens.A[0, 0] = 5.0
