@@ -16,8 +16,9 @@ working tree.  Each tree runs in its own fresh interpreter, which imports
 * a real phase grid with ``restarts=4`` and a complex phase grid (n=32, k=2,
   m=112) with ``restarts=3``, which run the random-pattern restart chains and
   the phase loop;
-* the m=40 cell of acceptance criterion 2 (100 trials), read from
-  ``tests/fixtures/calibration.json``;
+* the m=40 cell of acceptance criterion 2 (100 trials) and the noise curve
+  of acceptance criterion 4 (100 trials at each of five epsilons), read
+  from ``tests/fixtures/calibration.json``;
 * the instance files that ``affinepr gen`` saves (``generate_instance``)
   for a real constant-bias config and a complex intensity-mode config, each
   with a ``<name> regenerated`` digest of the arrays (A, b, x0, w, y and
@@ -169,10 +170,14 @@ INSTANCES = {
 }
 
 
+def fixture(name: str) -> dict:
+    with open(os.path.join(ROOT, "tests", "fixtures", "calibration.json"), encoding="utf-8") as fh:
+        return json.load(fh)[name]
+
+
 def criterion_2_cell() -> dict:
     """The m=40 cell of tests/test_acceptance.py::test_criterion_02_real_exact_recovery."""
-    with open(os.path.join(ROOT, "tests", "fixtures", "calibration.json"), encoding="utf-8") as fh:
-        fx = json.load(fh)["real_exact"]
+    fx = fixture("real_exact")
     return {
         "experiment": "phase_grid",
         "field": "real",
@@ -181,6 +186,23 @@ def criterion_2_cell() -> dict:
         "m_list": [40],
         "trials_per_cell": fx["trials"],
         "bias": {"kind": "constant", "c": fx["bias_c"]},
+        "master_seed": fx["master_seed"],
+        "solver": fx["solver"],
+    }
+
+
+def criterion_4_curve() -> dict:
+    """The noise curve of tests/test_acceptance.py::test_criterion_04_noise_stability_shape."""
+    fx = fixture("noise_curve")
+    return {
+        "experiment": "noise_curve",
+        "field": "real",
+        "n": fx["n"],
+        "k_list": [fx["k"]],
+        "m_list": [fx["m"]],
+        "trials_per_cell": fx["trials"],
+        "epsilon_list": fx["epsilon_list"],
+        "bias": {"kind": "constant", "c": 1.0},
         "master_seed": fx["master_seed"],
         "solver": fx["solver"],
     }
@@ -276,7 +298,11 @@ def outcomes(src: str) -> dict:
     if not os.path.isfile(os.path.join(src, "affinepr", "__init__.py")):
         raise SystemExit(f"no affinepr package under {src}")
     env = dict(os.environ, PYTHONPATH=src)
-    jobs = json.dumps(CRITERION_12 | SOLVER_GRIDS | {"criterion-2-m40.csv": criterion_2_cell()})
+    jobs = json.dumps(
+        CRITERION_12
+        | SOLVER_GRIDS
+        | {"criterion-2-m40.csv": criterion_2_cell(), "criterion-4-curve.csv": criterion_4_curve()}
+    )
     with tempfile.TemporaryDirectory() as out_dir:
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, src, ROOT, out_dir, jobs, json.dumps(INSTANCES)],

@@ -65,59 +65,4 @@ from .harness import (
     wilson_interval,
 )
 
-__all__ = [
-    "COMPLEX",
-    "REAL",
-    "BpdnResult",
-    "CellResult",
-    "ErrorMetrics",
-    "ExperimentConfig",
-    "MeasurementEnsemble",
-    "ProblemInstance",
-    "RipEstimate",
-    "SeedSpec",
-    "SolveReport",
-    "SolverOptions",
-    "SparseDecomposition",
-    "best_k_term_error",
-    "bias_band",
-    "bpdn",
-    "brute_force_bp_oracle",
-    "check_decomposition",
-    "crossterm_sup",
-    "error_metrics",
-    "forward_model",
-    "gen_bias_complex",
-    "gen_bias_real",
-    "gen_complex_gaussian_matrix",
-    "gen_noise",
-    "gen_real_gaussian_matrix",
-    "gen_sparse_signal",
-    "global_phase_error",
-    "lifted_distance_check",
-    "lifted_intensity",
-    "lifted_map_apply",
-    "load_instance",
-    "make_ensemble",
-    "make_instance",
-    "moment_bound_check",
-    "phase_align",
-    "regenerate_instance",
-    "rip_ratio_sample",
-    "run_impossibility_demo",
-    "run_lemma_suite",
-    "run_noise_curve",
-    "run_phase_grid",
-    "run_ripmap",
-    "run_srip",
-    "save_instance",
-    "solve_affine_pr_complex",
-    "solve_affine_pr_real",
-    "sparse_convex_decompose",
-    "srip_extremes_for_x",
-    "srip_profile",
-    "structured_ratio",
-    "wilson_interval",
-]
-
 __version__ = "0.1.0"

@@ -10,12 +10,13 @@ Which of three inner paths runs depends only on eps, the field and rank(D):
 
 * direct, for eps = 0 and rank(D) = n: the feasible set is a single point or
   empty, so the call returns D^+ c;
-* exact homotopy, for eps = 0, real D and rank(D) < n: basis pursuit is a
-  linear program, solved exactly by following the lasso path to lam = 0 on
-  the whitened rows V^H x = S^-1 U^H c, and certified by a dual vector;
-* ADMM on the splitting x = z, D x = r, for eps > 0, and for complex D with
-  eps = 0 and rank(D) < n (complex l1 is a second-order cone program).  Its
-  exact x-update (I + D^H D)^-1 is one matrix-vector product with
+* the exact lasso path, for real D otherwise, certified by a dual vector:
+  to lam = 0 on the whitened rows V^H x = S^-1 U^H c for eps = 0, and for
+  eps > 0 on the rows S V^H against U^H c up to the point where
+  ||D x - c|| = eps;
+* ADMM on the splitting x = z, D x = r, for complex D unless eps = 0 and
+  rank(D) = n (complex l1 is a second-order cone program).  Its exact
+  x-update (I + D^H D)^-1 is one matrix-vector product with
   I - V diag(s^2/(1 + s^2)) V^H, or I - V V^H/2 once a consistent eps = 0
   system is whitened to the rows V^H; it does not depend on the ADMM step
   rho, so adapting rho costs nothing.
@@ -61,9 +62,9 @@ class SolverOptions:
     """Settings of one solve, and the keys of the JSON ``solver`` config.
 
     outer_max: outer sign/phase steps per restart chain.
-    inner_max: cap on the ADMM iterations or homotopy steps of a full BPDN call;
-        outer steps cap at 600, flip probes at 300.
-    inner_tol: ADMM tolerance on the residuals, relative to 1 + ||c||.
+    inner_max: cap on the real lasso path's steps or the complex ADMM iterations of a
+        full BPDN call; outer steps cap at 600, flip probes at 300.
+    inner_tol: complex ADMM tolerance on the residuals, relative to 1 + ||c||.
     restarts: chains: the bias anchor, the anchor on a slower homotopy, then random patterns.
     mode: "magnitude" data y = |A x + b|, or "intensity" ytilde = |A x + b|^2 (complex only).
     restart_seed: seed of the random restart patterns.
@@ -110,8 +111,8 @@ class SolveReport:
     restart_index_of_best: int
     # sign_fixed_point | max_outer | infeasible_inner; infeasible_inner means
     # the last inner call ended unconverged: an exact verdict (direct or
-    # homotopy) that D x = c has no solution, or an ADMM call (or a homotopy
-    # path) that stopped at its cap.
+    # lasso path) that no x is within eps of its target, or a lasso path or
+    # complex ADMM call cut at its cap.
     termination: str
     trace: list = dc_field(default_factory=list)
     clipped_intensities: int = 0
@@ -144,11 +145,6 @@ _ADAPT_PERIOD = 10
 _ADAPT_FREEZE = 1000  # rho changes after this iteration can cycle; freeze instead
 
 
-def _polish_key(D, c, epsilon, feas_tol, v):
-    violation = max(float(np.linalg.norm(D @ v - c)) - epsilon - feas_tol, 0.0)
-    return violation, float(np.sum(np.abs(v)))
-
-
 class _Svd(NamedTuple):
     """Thin SVD D = U diag(s) Vh, restricted to the numerical rank."""
 
@@ -175,36 +171,41 @@ def _certified(x: np.ndarray, cert: np.ndarray) -> bool:
     )
 
 
-def _bp_homotopy(Vh, w, cap: int, feasible_init) -> tuple[np.ndarray, int, bool]:
-    """Exact min ||x||_1 s.t. Vh x = w for real Vh with r < n orthonormal rows.
+def _bp_homotopy(R, w, target: float, cap: int, feasible_init) -> tuple[np.ndarray, int, bool]:
+    """A certified point of the real lasso path, for R with r <= n rows of full row rank.
 
-    Follows the lasso path of 0.5 ||Vh x - w||^2 + lam ||x||_1 from
-    lam = ||Vh^T w||_inf, where x = 0, down to lam = 0 (Donoho & Tsaig,
-    IEEE Trans. IT 2008).  With P = Vh^T Vh the correlation
-    g = Vh^T (w - Vh x) = Vh^T w - P x equals lam * z on the active set S
-    (z the signs of x_S) and stays within lam elsewhere.  Between
-    breakpoints x_S moves along (P_SS)^-1 z per unit decrease of lam; an
-    index enters S when its correlation reaches lam and leaves when its
-    coefficient reaches zero, and the inverse of P_SS follows by a rank-one
-    update.  S holds at most r indices, so P_SS stays nonsingular.  g / lam
-    at the last breakpoint is Vh^T nu for a dual vector nu; the result is
-    certified when that vector passes ``_certified``.
+    Follows the path of 0.5 ||R x - w||^2 + lam ||x||_1 down from
+    lam = ||R^T w||_inf, where x = 0 (Osborne, Presnell & Turlach, IMA J.
+    Numer. Anal. 2000).  With P = R^T R the correlation g = R^T w - P x
+    equals lam * z on the active set S (z the signs of x_S) and stays within
+    lam elsewhere.  Between breakpoints x_S moves along d = (P_SS)^-1 z per
+    unit decrease of lam; an index enters S when its correlation reaches lam
+    and leaves when its coefficient reaches zero, and the inverse of P_SS
+    follows by a rank-one update.  S holds at most r indices, so P_SS stays
+    nonsingular.  A step tau lowers the squared residual by
+    z^T d (2 tau lam - tau^2).
 
-    A ``feasible_init`` (a point the caller found to solve the system) that
-    the min-norm nu of its own support certifies is returned as it is, after
-    0 steps.  Returns (x, path steps, certified); a path cut at ``cap`` steps
-    is not certified.
+    ``target`` = 0 runs the path to lam = 0: min ||x||_1 s.t. R x = w.  A
+    ``target`` in (0, ||w||^2) stops it where the squared residual reaches
+    ``target``: min ||x||_1 s.t. ||R x - w||^2 <= target (van den Berg &
+    Friedlander, SIAM J. Sci. Comput. 2008).  Either way g / lam at the end
+    is R^T nu for a dual vector nu, and the result is certified when that
+    passes ``_certified``.  A ``feasible_init`` (a point the caller found to
+    solve R x = w) that the min-norm nu of its own support certifies comes
+    back as it is, after 0 steps.  Returns (x, path steps, certified); a
+    path cut at ``cap`` steps is not certified.
     """
-    r, n = Vh.shape
+    r, n = R.shape
     if feasible_init is not None:
         supp = np.flatnonzero(feasible_init)
         if 0 < supp.size <= r:
-            nu = np.linalg.lstsq(Vh[:, supp].T, np.sign(feasible_init[supp]), rcond=None)[0]
-            if _certified(feasible_init, nu @ Vh):
+            nu = np.linalg.lstsq(R[:, supp].T, np.sign(feasible_init[supp]), rcond=None)[0]
+            if _certified(feasible_init, nu @ R):
                 return feasible_init.copy(), 0, True
 
-    P = Vh.T @ Vh
-    xdag = Vh.T @ w
+    P = R.T @ R
+    xdag = R.T @ w
+    res2 = float(w @ w)
 
     x = np.zeros(n)
     j = int(np.argmax(np.abs(xdag)))
@@ -251,6 +252,17 @@ def _bp_homotopy(Vh, w, cap: int, feasible_init) -> tuple[np.ndarray, int, bool]
             q = t_enter.argmin()
             if t_enter[q] < t:
                 t, event = max(float(t_enter[q]), 0.0), "enter"
+        if target > 0.0:
+            zd = float(z[:k] @ d)
+            drop = max(res2 - target, 0.0)
+            # The residual at lam = 0 is 0, so the last segment always stops.
+            if event is None or zd * t * (2.0 * lam - t) >= drop:
+                tau = drop / zd / (lam + math.sqrt(max(lam * lam - drop / zd, 0.0)))
+                xs[:k] += tau * d
+                lam -= tau
+                x[act[:k]] = xs[:k]
+                return x, steps, _certified(x, (xdag - xs[:k] @ PS[:k]) / lam)
+            res2 -= zd * t * (2.0 * lam - t)
         if event is None:
             break
         if held >= 0:
@@ -286,7 +298,7 @@ def _bp_homotopy(Vh, w, cap: int, feasible_init) -> tuple[np.ndarray, int, bool]
     # end solves the system, so g / lam at the last breakpoint equals the
     # rate d @ P[act]; that form does not divide rounding errors by lam.
     cert = d @ PS[:k]
-    # At lam = 0 the active coefficients solve P_SS x_S = (Vh^T w)_S; take
+    # At lam = 0 the active coefficients solve P_SS x_S = (R^T w)_S; take
     # that from the updated inverse rather than summing the path's steps.  A
     # coefficient whose exit tied with the end is zero up to rounding,
     # whatever its sign.
@@ -313,18 +325,16 @@ def bpdn(
 
     * epsilon = 0 and rank(D) = n: direct.  The result is D^+ c after zero
       iterations, converged only if its residual is within 1e-9 (1 + ||c||).
-    * epsilon = 0, real D and rank(D) < n: exact homotopy (``_bp_homotopy``)
-      on the whitened rows V^H x = S^-1 U^H c.  ``iterations`` counts path
-      steps; converged only if the residual is within 1e-9 (1 + ||c||) and a
-      dual vector certifies optimality, so an inconsistent system returns an
-      exact "infeasible" verdict.  An ``x_init`` that is already a certified
-      optimum comes back after 0 steps.
-    * otherwise ADMM, from ``x_init`` if given, capped at ``opts.inner_max``
-      iterations.  A real iterate is polished by a least-squares refit on its
-      support, kept only when it improves the (feasibility violation,
-      objective) pair.  A complex one is returned as it is: complex l1 optima
-      need not be basic, and the refit traded up to 0.4 % of objective for a
-      1e-8 residual.
+    * other real D: the exact lasso path (``_bp_homotopy``), capped at
+      ``opts.inner_max`` steps.  Converged only if a dual vector certifies
+      the result and its residual is within epsilon + 1e-9 (1 + ||c||).
+      With epsilon = 0 the path runs on the whitened rows V^H x = S^-1 U^H c,
+      and an ``x_init`` that is already a certified optimum comes back after
+      0 steps.  With epsilon > 0 it runs on the rows S V^H against U^H c and
+      stops at residual epsilon; a projection residual ||c - U U^H c|| of at
+      least epsilon is an exact "infeasible" verdict: D^+ c after 0 steps.
+    * complex D otherwise: ADMM from ``x_init`` if given, capped at
+      ``opts.inner_max`` iterations, with tolerance ``opts.inner_tol``.
 
     On nonunique optima any minimizer may be returned, so callers should
     contract on the objective value rather than the witness.  ``svd`` is D's
@@ -347,25 +357,29 @@ def bpdn(
     if epsilon == 0.0 and svd.s.size == n:
         return _direct(D, c, svd)
     U, s, Vh = svd
-    V = Vh.conj().T
     feas_tol = 1e-9 * (1.0 + cnorm)
-    D_orig, c_orig = D, c
-    gain = s**2 / (1.0 + s**2)  # (I + D^H D)^-1 = I - V diag(gain) V^H
-    if epsilon == 0.0:
-        proj = U.conj().T @ c
-        if not np.iscomplexobj(D):
+    proj = U.conj().T @ c
+    if not np.iscomplexobj(D):
+        if epsilon == 0.0:
             start = None if x_init is None else np.asarray(x_init, dtype=np.float64)
             if start is not None and np.linalg.norm(D @ start - c) > feas_tol:
                 start = None
-            x, steps, certified = _bp_homotopy(Vh, proj / s, opts.inner_max, start)
-            primal = float(np.linalg.norm(D @ x - c))
-            return BpdnResult(x, steps, certified and primal <= feas_tol)
-        if np.linalg.norm(c - U @ proj) <= feas_tol:
-            # D x = c iff V^H x = S^-1 U^H c, and ADMM's rate no longer
-            # depends on cond(D).  An inconsistent system keeps the raw rows.
-            D, c = Vh, proj / s
-            m = D.shape[0]
-            gain = np.full(s.size, 0.5)
+            x, steps, certified = _bp_homotopy(Vh, proj / s, 0.0, opts.inner_max, start)
+        else:
+            target = epsilon**2 - float(np.linalg.norm(c - U @ proj)) ** 2
+            if target <= 0.0:
+                return BpdnResult(Vh.T @ (proj / s), 0, False)
+            x, steps, certified = _bp_homotopy(s[:, None] * Vh, proj, target, opts.inner_max, None)
+        primal = float(np.linalg.norm(D @ x - c))
+        return BpdnResult(x, steps, certified and primal <= epsilon + feas_tol)
+    V = Vh.conj().T
+    gain = s**2 / (1.0 + s**2)  # (I + D^H D)^-1 = I - V diag(gain) V^H
+    if epsilon == 0.0 and np.linalg.norm(c - U @ proj) <= feas_tol:
+        # D x = c iff V^H x = S^-1 U^H c, and ADMM's rate no longer depends
+        # on cond(D).  An inconsistent system keeps the raw rows.
+        D, c = Vh, proj / s
+        m = D.shape[0]
+        gain = np.full(s.size, 0.5)
     M = np.eye(n) - (V * gain) @ Vh
 
     Dh = D.conj().T
@@ -407,16 +421,6 @@ def bpdn(
                 u_z *= 2.0
                 u_r *= 2.0
 
-    scale = float(np.max(np.abs(z))) if z.size else 0.0
-    support = np.flatnonzero(np.abs(z) > 1e-12 * max(1.0, scale))
-    if support.size and not np.iscomplexobj(z):
-        sol, _, _, _ = np.linalg.lstsq(D_orig[:, support], c_orig, rcond=None)
-        cand = np.zeros(n, dtype=dtype)
-        cand[support] = sol
-        if _polish_key(D_orig, c_orig, epsilon, feas_tol, cand) < _polish_key(
-            D_orig, c_orig, epsilon, feas_tol, z
-        ):
-            z = cand
     return BpdnResult(z, it, converged)
 
 
@@ -589,17 +593,13 @@ def _violation(feas: float, epsilon: float, scale: float) -> float:
 def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_fn, svd: _Svd):
     """Real-field local search: retry the lowest-margin sign flips.
 
-    Probes run with a small iteration cap (a wrong flip in the
-    overdetermined regime makes the inner problem infeasible, which would
-    otherwise burn the whole inner budget); a probe that improves the
-    (violation, objective) key is re-solved to full tolerance.
+    Probes cap the lasso path at 300 steps; a probe that improves the
+    (violation, objective) key is solved again with the full cap.
     """
     if opts.flip_candidates == 0:
         return outcome
     scale = 1.0 + float(np.linalg.norm(y_target))
-    probe_opts = replace(
-        opts, inner_max=min(300, opts.inner_max), inner_tol=max(opts.inner_tol, 1e-7)
-    )
+    probe_opts = replace(opts, inner_max=min(300, opts.inner_max))
     x = outcome.xhat
     key = (_violation(outcome.feasibility, epsilon, scale), outcome.objective)
     v = A @ x + b

@@ -193,9 +193,21 @@ def test_bpdn_exact_path_returns_certified_x_init():
     assert res.objective < np.sum(np.abs(vertex))
 
 
+def _assert_bpdn_optimal(D, c, eps, x):
+    """KKT conditions of min ||x||_1 s.t. ||D x - c|| <= eps at an active constraint."""
+    tol = 1e-9 * (1 + np.linalg.norm(c))
+    assert abs(np.linalg.norm(D @ x - c) - eps) <= tol
+    g = D.T @ (c - D @ x)
+    lam = np.max(np.abs(g))
+    assert lam > 0
+    supp = np.flatnonzero(x)
+    assert supp.size > 0
+    assert np.max(np.abs(g[supp] - lam * np.sign(x[supp]))) <= 1e-9 * lam
+
+
 def test_bpdn_noisy_feasibility_contract_at_n64():
     rng = np.random.default_rng(11)
-    for m in (40, 100):
+    for m in (40, 100, 160):
         D = rng.standard_normal((m, 64))
         x = np.zeros(64)
         x[rng.choice(64, size=3, replace=False)] = rng.standard_normal(3)
@@ -205,6 +217,19 @@ def test_bpdn_noisy_feasibility_contract_at_n64():
         assert res.converged
         assert np.linalg.norm(D @ res.x - c) <= eps + 1e-6 * (1 + np.linalg.norm(c))
         assert res.objective <= np.sum(np.abs(x)) + 1e-6
+        _assert_bpdn_optimal(D, c, eps, res.x)
+
+
+def test_bpdn_noisy_infeasible_verdict():
+    # With m > n the part of c outside range(D) is beyond every x's reach.
+    rng = np.random.default_rng(15)
+    D = rng.standard_normal((100, 64))
+    c = rng.standard_normal(100)
+    lsq = np.linalg.pinv(D) @ c
+    eps = 0.5 * np.linalg.norm(D @ lsq - c)
+    res = bpdn(D, c, eps)
+    assert not res.converged and res.iterations == 0
+    assert np.allclose(res.x, lsq, rtol=0, atol=1e-10)
 
 
 def test_bpdn_rejects_non_finite_inputs():
