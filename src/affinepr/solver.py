@@ -523,9 +523,9 @@ def _homotopy_burn_in(
 def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd):
     """Burn-in followed by the alternating constrained iteration.
 
-    Regular outer steps use a capped inner budget (a wrong pattern in the
-    overdetermined regime is infeasible and would burn the full budget);
-    a candidate fixed point is confirmed with a full-tolerance solve.
+    Regular outer steps cap the inner call at 600 (complex ADMM would burn
+    its full budget on a wrong, infeasible pattern); a candidate fixed
+    point is confirmed with a full-budget solve.
     """
     complex_field = np.iscomplexobj(A)
     m, n = A.shape
