@@ -16,6 +16,10 @@ working tree.  Each tree runs in its own fresh interpreter, which imports
 * a real phase grid with ``restarts=4`` and a complex phase grid (n=32, k=2,
   m=112) with ``restarts=3``, which run the random-pattern restart chains and
   the phase loop;
+* a complex phase grid with fewer measurements than unknowns (n=32, k=2,
+  m=20 and 28) and a short complex noise curve (n=32, k=2, m=112,
+  epsilon 0.02 and 0.08), the only configs here whose solves run complex
+  ADMM;
 * the m=40 cell of acceptance criterion 2 (100 trials) and the noise curve
   of acceptance criterion 4 (100 trials at each of five epsilons), read
   from ``tests/fixtures/calibration.json``;
@@ -25,16 +29,19 @@ working tree.  Each tree runs in its own fresh interpreter, which imports
   ytilde) that ``regenerate_instance`` rebuilds from the file's seed
   metadata.
 
-Every experiment that solves also gets a ``<name> solves m=<m>`` digest per
-number of measurements m over each solve's report (``xhat`` bytes,
-objective, feasibility, iteration counts, winning restart, termination and
-trace), so a change below the CSV's 12 printed digits still shows, and a
-change confined to some m shows which.  It prints the SHA-256 of every
-output for both trees side by side.  It also records every trial's success
-flag in each grid cell and lists each trial whose flag differs between the
-trees.  It exits with status 1 if any output or flag differs, 0 if all are
-identical.  It writes nothing under ``perfbench/``; outputs go to a
-temporary directory.
+Every experiment that solves also gets two digests per number of
+measurements m over the reports of its solves: ``<name> solves m=<m>`` over
+the result (``xhat`` bytes, objective, feasibility, winning restart,
+termination, trace and clipped count), so a change below the CSV's 12
+printed digits still shows, and a change confined to some m shows which;
+and ``<name> iters m=<m>`` over the work (outer steps, inner iterations and
+burn-in levels), so a change that moves only iteration counts shows as
+such.  It prints the SHA-256 of every output for both trees side by side.
+It also records every trial's success flag in each grid cell and lists each
+trial whose flag differs between the trees.  It exits with status 1 if any
+output or flag differs, 0 if all are identical.  A run takes about 115 s
+per tree on a 2-core machine.  It writes nothing under ``perfbench/``;
+outputs go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -116,7 +123,8 @@ CRITERION_12 = {
 }
 
 # Grids that reach the random restart chains (restarts > 2) and the complex
-# phase loop; no other config here does.
+# phase loop, and the complex configs whose inner calls run ADMM (m < n, or
+# epsilon > 0); no other config here does.
 SOLVER_GRIDS = {
     "real-restarts4.csv": {
         "experiment": "phase_grid",
@@ -139,6 +147,29 @@ SOLVER_GRIDS = {
         "bias": {"kind": "complex_gaussian"},
         "master_seed": 42,
         "solver": {"restarts": 3, "restart_seed": 6},
+    },
+    "complex-underdetermined.csv": {
+        "experiment": "phase_grid",
+        "field": "complex",
+        "n": 32,
+        "k_list": [2],
+        "m_list": [20, 28],
+        "trials_per_cell": 4,
+        "bias": {"kind": "complex_gaussian"},
+        "master_seed": 45,
+        "solver": {"restarts": 2, "restart_seed": 7},
+    },
+    "complex-curve.csv": {
+        "experiment": "noise_curve",
+        "field": "complex",
+        "n": 32,
+        "k_list": [2],
+        "m_list": [112],
+        "trials_per_cell": 4,
+        "epsilon_list": [0.02, 0.08],
+        "bias": {"kind": "complex_gaussian"},
+        "master_seed": 46,
+        "solver": {"restarts": 2, "restart_seed": 8},
     },
 }
 
@@ -238,13 +269,16 @@ for label in ("default", "heldout"):
     configs = workloads.real_grid_configs(seeds[label])
     jobs += [(f"real-grid-{label}-{i}.csv", c) for i, c in enumerate(configs)]
 
-solves = {}  # m -> report bytes of each solve with m measurements
+solves = {}  # (kind, m) -> bytes of each solve with m measurements
 def recording(solve):
     def wrapped(ensemble, *args, **kwargs):
         rep = solve(ensemble, *args, **kwargs)
-        fields = (rep.objective, rep.feasibility, rep.outer_iters, rep.inner_iters_total,
-                  rep.restart_index_of_best, rep.termination, rep.trace, rep.clipped_intensities)
-        solves.setdefault(ensemble.m, []).append(rep.xhat.tobytes() + repr(fields).encode())
+        result = (rep.objective, rep.feasibility, rep.restart_index_of_best, rep.termination,
+                  rep.trace, rep.clipped_intensities)
+        work = (rep.outer_iters, rep.inner_iters_total, rep.burn_in_levels)
+        solves.setdefault(("solves", ensemble.m), []).append(
+            rep.xhat.tobytes() + repr(result).encode())
+        solves.setdefault(("iters", ensemble.m), []).append(repr(work).encode())
         return rep
     return wrapped
 cells = []  # (m, k, epsilon, flags) of each grid cell the current job runs
@@ -275,8 +309,8 @@ for name, cfg in jobs:
     run[config.experiment](config)
     with open(path, "rb") as fh:
         digests[name] = hashlib.sha256(fh.read()).hexdigest()
-    for m in sorted(solves):
-        digests[f"{name} solves m={m}"] = hashlib.sha256(b"".join(solves[m])).hexdigest()
+    for kind, m in sorted(solves):
+        digests[f"{name} {kind} m={m}"] = hashlib.sha256(b"".join(solves[kind, m])).hexdigest()
     for m, k, epsilon, bits in cells:
         flags[f"{name} m={m} k={k} eps={epsilon!r}"] = bits
 for name, cfg in instances.items():

@@ -17,6 +17,7 @@ from .harness import (
     generate_instance,
     load_instance,
     phase_grid_csv,
+    phase_grid_json,
     run_impossibility_demo,
     run_lemma_suite,
     run_noise_curve,
@@ -64,14 +65,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_phase_grid(args) -> int:
     config = _load_config(args)
-    out = config.output_path
-    if args.format == "json":
-        config.output_path = ""
-    cells = run_phase_grid(config)
-    if args.format == "json":
-        write_json([cell_to_json(c) for c in cells], out)
-    elif not out:
-        sys.stdout.write(phase_grid_csv(cells))
+    render = phase_grid_json if args.format == "json" else phase_grid_csv
+    cells = run_phase_grid(config, render)
+    if not config.output_path:
+        sys.stdout.write(render(cells))
     return 0
 
 

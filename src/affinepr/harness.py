@@ -281,13 +281,14 @@ def _run_cells(config: ExperimentConfig, keys: list) -> list:
     return [done[key] for key in keys]
 
 
-def run_phase_grid(config: ExperimentConfig) -> list[CellResult]:
-    """Noiseless success-probability grid over (m, k) cells."""
+def run_phase_grid(config: ExperimentConfig, render=None) -> list[CellResult]:
+    """Noiseless success-probability grid over (m, k) cells, written to the
+    output path as ``render(cells)`` (``phase_grid_csv`` by default)."""
     config.validate()
     keys = [(m, k, 0.0) for m in config.m_list for k in config.k_list]
     cells = _run_cells(config, keys)
     if config.output_path:
-        write_phase_grid_csv(config.output_path, cells)
+        _write_text(config.output_path, (render or phase_grid_csv)(cells))
     return cells
 
 
@@ -301,8 +302,8 @@ def phase_grid_csv(cells: list[CellResult]) -> str:
     return _cells_csv(("m", "k"), cells)
 
 
-def write_phase_grid_csv(path: str, cells: list[CellResult]) -> None:
-    _write_text(path, phase_grid_csv(cells))
+def phase_grid_json(cells: list[CellResult]) -> str:
+    return _json_text([cell_to_json(c) for c in cells])
 
 
 @dataclass
@@ -508,9 +509,13 @@ def _write_text(path: str, text: str) -> None:
             os.remove(tmp)
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(obj, path: str = "") -> None:
     """Write ``obj`` as sorted, indented JSON to ``path``, or to stdout if it is empty."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = _json_text(obj)
     if path:
         _write_text(path, text)
     else:

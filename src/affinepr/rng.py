@@ -20,6 +20,7 @@ from .model import (
     REAL,
     MeasurementEnsemble,
     ProblemInstance,
+    _checked,
     array_from_json,
     forward_model,
     lifted_intensity,
@@ -154,8 +155,8 @@ def normalize_bias(field: str, bias, m: int) -> dict:
     None picks the field default (constant c=1 for real, standard complex
     Gaussian for complex) and a number c means the constant spec.  A real
     constant needs c > 0, ``complex_gaussian`` a complex field, and a
-    ``vector`` spec's values (see ``model.array_to_json``) m entries, real
-    ones on the real field.
+    ``vector`` spec's values (see ``model.array_to_json``) m finite entries,
+    real ones on the real field.
     """
     if bias is None:
         return {"kind": "constant", "c": 1.0} if field == REAL else {"kind": "complex_gaussian"}
@@ -172,9 +173,7 @@ def normalize_bias(field: str, bias, m: int) -> dict:
             raise ValueError("constant bias on the real field needs a positive 'c'")
         return {"kind": "constant", "c": float(c)}
     if kind == "vector":
-        values = array_from_json(bias["values"])
-        if values.shape != (m,):
-            raise ValueError(f"bias vector has shape {values.shape}, but m = {m}")
+        values = _checked("bias vector", array_from_json(bias["values"]), (m,))
         if field == REAL and np.iscomplexobj(values):
             raise ValueError("a complex bias vector requires a complex ensemble")
         return {"kind": "vector", "values": bias["values"]}

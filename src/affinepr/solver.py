@@ -25,7 +25,9 @@ The outer loops exploit the identity
 
     ||diag(s)(A x + b) - y||_2 = ||A x - (s*y - b)||_2
 
-for any unit-modulus s, so each outer step is one convex BPDN solve.
+for any unit-modulus s, so each outer step is one convex BPDN solve: one
+``bpdn`` call per pattern, and a second, full-budget call only after a call
+cut at its cap.
 
 A plain alternation traps immediately in the underdetermined regime: with
 eps = 0 and m < n every sign pattern admits an exact interpolator, so every
@@ -171,7 +173,7 @@ def _certified(x: np.ndarray, cert: np.ndarray) -> bool:
     )
 
 
-def _bp_homotopy(R, w, target: float, cap: int, feasible_init) -> tuple[np.ndarray, int, bool]:
+def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
     """A certified point of the real lasso path, for R with r <= n rows of full row rank.
 
     Follows the path of 0.5 ||R x - w||^2 + lam ||x||_1 down from
@@ -190,19 +192,11 @@ def _bp_homotopy(R, w, target: float, cap: int, feasible_init) -> tuple[np.ndarr
     ``target``: min ||x||_1 s.t. ||R x - w||^2 <= target (van den Berg &
     Friedlander, SIAM J. Sci. Comput. 2008).  Either way g / lam at the end
     is R^T nu for a dual vector nu, and the result is certified when that
-    passes ``_certified``.  A ``feasible_init`` (a point the caller found to
-    solve R x = w) that the min-norm nu of its own support certifies comes
-    back as it is, after 0 steps.  Returns (x, path steps, certified); a
-    path cut at ``cap`` steps is not certified.
+    passes ``_certified``.  The path always starts from x = 0, so equal
+    inputs give equal bytes.  Returns (x, path steps, certified); a path cut
+    at ``cap`` steps is not certified.
     """
     r, n = R.shape
-    if feasible_init is not None:
-        supp = np.flatnonzero(feasible_init)
-        if 0 < supp.size <= r:
-            nu = np.linalg.lstsq(R[:, supp].T, np.sign(feasible_init[supp]), rcond=None)[0]
-            if _certified(feasible_init, nu @ R):
-                return feasible_init.copy(), 0, True
-
     P = R.T @ R
     xdag = R.T @ w
     res2 = float(w @ w)
@@ -328,13 +322,13 @@ def bpdn(
     * other real D: the exact lasso path (``_bp_homotopy``), capped at
       ``opts.inner_max`` steps.  Converged only if a dual vector certifies
       the result and its residual is within epsilon + 1e-9 (1 + ||c||).
-      With epsilon = 0 the path runs on the whitened rows V^H x = S^-1 U^H c,
-      and an ``x_init`` that is already a certified optimum comes back after
-      0 steps.  With epsilon > 0 it runs on the rows S V^H against U^H c and
-      stops at residual epsilon; a projection residual ||c - U U^H c|| of at
-      least epsilon is an exact "infeasible" verdict: D^+ c after 0 steps.
-    * complex D otherwise: ADMM from ``x_init`` if given, capped at
-      ``opts.inner_max`` iterations, with tolerance ``opts.inner_tol``.
+      With epsilon = 0 the path runs on the whitened rows V^H x = S^-1 U^H c.
+      With epsilon > 0 it runs on the rows S V^H against U^H c and stops at
+      residual epsilon; a projection residual ||c - U U^H c|| of at least
+      epsilon is an exact "infeasible" verdict: D^+ c after 0 steps.
+    * complex D otherwise: ADMM, warm-started from ``x_init`` if given (no
+      other path reads it), capped at ``opts.inner_max`` iterations, with
+      tolerance ``opts.inner_tol``.
 
     On nonunique optima any minimizer may be returned, so callers should
     contract on the objective value rather than the witness.  ``svd`` is D's
@@ -361,15 +355,12 @@ def bpdn(
     proj = U.conj().T @ c
     if not np.iscomplexobj(D):
         if epsilon == 0.0:
-            start = None if x_init is None else np.asarray(x_init, dtype=np.float64)
-            if start is not None and np.linalg.norm(D @ start - c) > feas_tol:
-                start = None
-            x, steps, certified = _bp_homotopy(Vh, proj / s, 0.0, opts.inner_max, start)
+            x, steps, certified = _bp_homotopy(Vh, proj / s, 0.0, opts.inner_max)
         else:
             target = epsilon**2 - float(np.linalg.norm(c - U @ proj)) ** 2
             if target <= 0.0:
                 return BpdnResult(Vh.T @ (proj / s), 0, False)
-            x, steps, certified = _bp_homotopy(s[:, None] * Vh, proj, target, opts.inner_max, None)
+            x, steps, certified = _bp_homotopy(s[:, None] * Vh, proj, target, opts.inner_max)
         primal = float(np.linalg.norm(D @ x - c))
         return BpdnResult(x, steps, certified and primal <= epsilon + feas_tol)
     V = Vh.conj().T
@@ -520,12 +511,18 @@ def _homotopy_burn_in(
     return x, _unit_pattern(v), level
 
 
+def _stopped_at_cap(res: BpdnResult, capped: SolverOptions, opts: SolverOptions) -> bool:
+    """Whether a call under ``capped`` was cut at its cap short of ``opts``'s full budget."""
+    return not res.converged and capped.inner_max <= res.iterations < opts.inner_max
+
+
 def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd):
     """Burn-in followed by the alternating constrained iteration.
 
-    Regular outer steps cap the inner call at 600 (complex ADMM would burn
-    its full budget on a wrong, infeasible pattern); a candidate fixed
-    point is confirmed with a full-budget solve.
+    Each outer step solves its pattern once, with the inner call capped at
+    600 (complex ADMM would burn its full budget on a wrong, infeasible
+    pattern); a candidate fixed point cut at that cap is solved again with
+    the full budget.
     """
     complex_field = np.iscomplexobj(A)
     m, n = A.shape
@@ -536,7 +533,6 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_ta
     inner_total = 0
     trace = []
     termination = "max_outer"
-    last_converged = True
     u_tol = min(1e-9, max(10.0 * opts.inner_tol, 1e-13))
     best_feas = math.inf
     best_obj = math.inf
@@ -548,23 +544,19 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_ta
         return bool(np.array_equal(u_new, u_old))
 
     for _ in range(opts.outer_max):
-        res = bpdn(A, u * y_target - b, epsilon, capped, x_init=x, svd=svd)
+        c = u * y_target - b
+        res = bpdn(A, c, epsilon, capped, x_init=x, svd=svd)
         inner_total += res.iterations
-        last_converged = res.converged
-        x = res.x
-        u_new = _unit_pattern(A @ x + b)
-        if is_fixed(u_new, u):
-            res = bpdn(A, u * y_target - b, epsilon, opts, x_init=x, svd=svd)
+        u_new = _unit_pattern(A @ res.x + b)
+        if is_fixed(u_new, u) and _stopped_at_cap(res, capped, opts):
+            res = bpdn(A, c, epsilon, opts, x_init=res.x, svd=svd)
             inner_total += res.iterations
-            last_converged = res.converged
-            x = res.x
-            u_new = _unit_pattern(A @ x + b)
-            trace.append((res.objective, feas_fn(x)))
-            if is_fixed(u_new, u):
-                termination = "sign_fixed_point"
-                break
-        else:
-            trace.append((res.objective, feas_fn(x)))
+            u_new = _unit_pattern(A @ res.x + b)
+        x = res.x
+        trace.append((res.objective, feas_fn(x)))
+        if is_fixed(u_new, u):
+            termination = "sign_fixed_point"
+            break
         u = u_new
         # Under noise the pattern can dance on zero-margin measurements
         # without the solution improving; stop once progress stalls.
@@ -578,7 +570,7 @@ def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_ta
             since_best += 1
             if since_best >= 5:
                 break
-    if not last_converged:
+    if not res.converged:  # the last inner call; outer_max >= 1
         termination = "infeasible_inner"
     return _RestartOutcome(x, inner_total, termination, trace, levels)
 
@@ -593,8 +585,9 @@ def _violation(feas: float, epsilon: float, scale: float) -> float:
 def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_fn, svd: _Svd):
     """Real-field local search: retry the lowest-margin sign flips.
 
-    Probes cap the lasso path at 300 steps; a probe that improves the
-    (violation, objective) key is solved again with the full cap.
+    Each probe solves its pattern once, with the lasso path capped at 300
+    steps; an improving probe cut at that cap is solved again with the full
+    cap and must still improve the (violation, objective) key.
     """
     if opts.flip_candidates == 0:
         return outcome
@@ -617,15 +610,16 @@ def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_
         tried += 1
         s_try = s.copy()
         s_try[j] = -s_try[j]
-        probe = bpdn(A, s_try * y_target - b, epsilon, probe_opts, x_init=x, svd=svd)
-        inner += probe.iterations
-        probe_key = (_violation(feas_fn(probe.x), epsilon, scale), probe.objective)
-        if probe_key >= key:
-            continue
-        res = bpdn(A, s_try * y_target - b, epsilon, opts, x_init=probe.x, svd=svd)
+        c = s_try * y_target - b
+        res = bpdn(A, c, epsilon, probe_opts, svd=svd)
         inner += res.iterations
         feas = feas_fn(res.x)
         cand_key = (_violation(feas, epsilon, scale), res.objective)
+        if cand_key < key and _stopped_at_cap(res, probe_opts, opts):
+            res = bpdn(A, c, epsilon, opts, svd=svd)
+            inner += res.iterations
+            feas = feas_fn(res.x)
+            cand_key = (_violation(feas, epsilon, scale), res.objective)
         if cand_key < key:
             x, key, improved = res.x, cand_key, True
             trace.append((res.objective, feas))

@@ -136,6 +136,43 @@ def test_phase_grid_cli_csv(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_phase_grid_cli_resumes_after_interrupt(tmp_path, monkeypatch, fmt):
+    import affinepr.harness as hmod
+
+    cfg = _cli_config("phase_grid", m_list=[12, 16, 20], trials_per_cell=1, solver=_ONE_RESTART)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    full, resumed = tmp_path / "full.out", tmp_path / "resumed.out"
+    args = ["--config", str(cfg_path), "--format", fmt, "--out"]
+    assert run_cli([*args, str(full), "phase-grid"]) == 0
+
+    original = hmod.run_cell
+    ran = []
+
+    def interrupted_after_one(config, m, k, eps):
+        ran.append(m)
+        if len(ran) > 1:
+            raise KeyboardInterrupt
+        return original(config, m, k, eps)
+
+    monkeypatch.setattr(hmod, "run_cell", interrupted_after_one)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli([*args, str(resumed), "phase-grid"])
+    assert os.path.exists(str(resumed) + ".partial.jsonl")
+
+    def counting(config, m, k, eps):
+        ran.append(m)
+        return original(config, m, k, eps)
+
+    ran.clear()
+    monkeypatch.setattr(hmod, "run_cell", counting)
+    assert run_cli([*args, str(resumed), "phase-grid"]) == 0
+    assert ran == [16, 20]  # the finished cell came from the sidecar
+    assert resumed.read_bytes() == full.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "full.out", "resumed.out"]
+
+
 def test_lemma_cli_exit_code(tmp_path, capsys):
     cfg = {
         "experiment": "lemma_suite",

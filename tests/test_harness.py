@@ -21,7 +21,7 @@ from affinepr import (
     save_instance,
     wilson_interval,
 )
-from affinepr.harness import InstanceFormatError, run_cell, write_phase_grid_csv
+from affinepr.harness import InstanceFormatError, run_cell
 
 SMALL_GRID = {
     "experiment": "phase_grid",
@@ -107,6 +107,33 @@ def test_config_rejects_bias_before_any_trial(tmp_path, monkeypatch, bias):
     with pytest.raises(ValueError, match="bias"):
         run_phase_grid(unchecked)
     assert sorted(os.listdir(tmp_path)) == ["bias24.json", "complex24.json"]
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("real", [0.5] * 23 + [float("nan")]),
+        ("real", [0.5] * 23 + [float("inf")]),
+        ("complex", {"re": [0.5] * 23 + [float("-inf")], "im": [0.1] * 24}),
+    ],
+    ids=["nan", "inf", "complex-inf"],
+)
+def test_config_rejects_non_finite_bias_vector(tmp_path, field, values):
+    # A non-finite entry used to pass validate: a grid failed at its first
+    # solve after writing its sidecar, and gen wrote it into the instance.
+    grid = {
+        **SMALL_GRID,
+        "field": field,
+        "m_list": [24],
+        "bias": {"kind": "vector", "values": values},
+        "output_path": str(tmp_path / "grid.csv"),
+    }
+    with pytest.raises(ValueError, match="bias vector has non-finite entries"):
+        ExperimentConfig.from_dict(grid)
+    unchecked = ExperimentConfig(**{**grid, "solver": SolverOptions(**grid["solver"])})
+    with pytest.raises(ValueError, match="bias vector"):
+        run_phase_grid(unchecked)
+    assert os.listdir(tmp_path) == []
 
 
 def test_wilson_interval_reference():
@@ -459,10 +486,9 @@ def test_load_rejects_truncation_and_tampering(tmp_path):
 
 
 def test_csv_number_format(tmp_path):
-    cfg = ExperimentConfig.from_dict({**SMALL_GRID, "m_list": [24]})
-    cells = run_phase_grid(cfg)
     path = tmp_path / "fmt.csv"
-    write_phase_grid_csv(str(path), cells)
+    grid = {**SMALL_GRID, "m_list": [24], "output_path": str(path)}
+    run_phase_grid(ExperimentConfig.from_dict(grid))
     lines = path.read_text().split("\n")
     assert lines[-1] == ""  # trailing LF
     row = lines[1].split(",")

@@ -172,25 +172,54 @@ def test_bpdn_exact_path_with_duplicated_rows():
     assert np.linalg.norm(D @ res.x - c) > 0.1
 
 
-def test_bpdn_exact_path_returns_certified_x_init():
+@pytest.mark.parametrize("eps_share", [0.0, 0.1], ids=["eps0", "eps-positive"])
+def test_real_bpdn_ignores_x_init(eps_share):
+    # Real calls are exact and start from nothing, so a warm start, even the
+    # call's own optimum, changes neither the bytes nor the step count.
     rng = np.random.default_rng(14)
     D = rng.standard_normal((40, 64))
     for c in (rng.standard_normal(40), _sparse_rhs(rng, D)):
-        first = bpdn(D, c, 0.0)
+        eps = eps_share * np.linalg.norm(c)
+        first = bpdn(D, c, eps)
         assert first.converged and first.iterations > 0
-        again = bpdn(D, c, 0.0, x_init=first.x)
-        assert again.converged and again.iterations == 0
-        assert again.x.tobytes() == first.x.tobytes()
-    # An optimum for another right-hand side is not certified for this one,
-    # and neither is a feasible vertex that is not optimal.
-    other = bpdn(D, rng.standard_normal(40), 0.0, x_init=first.x)
-    assert other.converged and other.iterations > 0
-    vertex = np.zeros(64)
-    vertex[:40] = np.linalg.solve(D[:, :40], c)
-    res = bpdn(D, c, 0.0, x_init=vertex)
-    assert res.converged and res.iterations > 0
-    assert res.objective == pytest.approx(first.objective, rel=1e-12)
-    assert res.objective < np.sum(np.abs(vertex))
+        for x_init in (first.x, rng.standard_normal(64)):
+            again = bpdn(D, c, eps, x_init=x_init)
+            assert again.x.tobytes() == first.x.tobytes()
+            assert (again.iterations, again.converged) == (first.iterations, first.converged)
+
+
+@pytest.mark.parametrize(
+    "m, epsilon",
+    [(16, 0.0), (48, 0.0), (48, 0.05)],
+    ids=["m-below-n", "m-above-n", "noisy"],
+)
+def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
+    # Each outer step and each flip probe calls bpdn once: no call in a chain
+    # repeats the right-hand side of the call before it.  Only a call cut at
+    # its cap is solved again, and these sizes never reach a cap.
+    chains = []
+    real_bpdn, real_restart = solver.bpdn, solver._run_restart
+
+    def restart(*args, **kwargs):
+        chains.append([])
+        return real_restart(*args, **kwargs)
+
+    def counting_bpdn(D, c, epsilon, opts, **kwargs):
+        res = real_bpdn(D, c, epsilon, opts, **kwargs)
+        assert res.converged or res.iterations < opts.inner_max
+        chains[-1].append(np.asarray(c).tobytes())
+        return res
+
+    monkeypatch.setattr(solver, "_run_restart", restart)
+    monkeypatch.setattr(solver, "bpdn", counting_bpdn)
+    opts = SolverOptions(restarts=2, restart_seed=3, flip_candidates=6)
+    for t in range(3):
+        inst = make_instance("real", 24, 2, m, SeedSpec(97, (m, t)), epsilon=epsilon, bias=1.0)
+        chains.clear()
+        solve_affine_pr_real(inst.ensemble, inst.y, epsilon, opts)
+        assert len(chains) == 2
+        for calls in chains:
+            assert calls and all(a != b for a, b in zip(calls, calls[1:]))
 
 
 def _assert_bpdn_optimal(D, c, eps, x):
