@@ -43,7 +43,9 @@ solver finishes with a margin-guided single-sign-flip descent.
 A noiseless real burn-in with rank(A) = n < m stops at the first unfrozen
 level whose sign pattern passes the direct path's feasibility test: the
 outer loop from that pattern ignores the x it is handed, returns the one
-feasible point and stops there.
+feasible point and stops there.  In the same case an exact fit of y is
+unique, so the first restart chain that ends at one is the answer and no
+later chain runs.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class SolverOptions:
     inner_max: cap on the real lasso path's steps or the complex ADMM iterations of a
         full BPDN call; outer steps cap at 600, flip probes at 300.
     inner_tol: complex ADMM tolerance on the residuals, relative to 1 + ||c||.
-    restarts: chains: the bias anchor, the anchor on a slower homotopy, then random patterns.
+    restarts: most chains: the bias anchor, the anchor on a slower homotopy, then random
+        patterns; a noiseless real solve with rank(A) = n < m stops at the first exact fit.
     mode: "magnitude" data y = |A x + b|, or "intensity" ytilde = |A x + b|^2 (complex only).
     restart_seed: seed of the random restart patterns.
     flip_candidates: lowest-margin sign flips a real solve retries; 0 skips flip descent.
@@ -118,7 +121,8 @@ class SolveReport:
     termination: str
     trace: list = dc_field(default_factory=list)
     clipped_intensities: int = 0
-    # Burn-in levels run by each restart chain; full schedule unless it stopped early.
+    # Burn-in levels of each restart chain that ran (full schedule unless it
+    # stopped early); fewer than ``restarts`` after a chain stop (``_solve_restarts``).
     burn_in_levels: list = dc_field(default_factory=list)
 
 
@@ -516,19 +520,19 @@ def _stopped_at_cap(res: BpdnResult, capped: SolverOptions, opts: SolverOptions)
     return not res.converged and capped.inner_max <= res.iterations < opts.inner_max
 
 
-def _run_restart(A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd):
+def _run_restart(
+    A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd, unique: bool
+):
     """Burn-in followed by the alternating constrained iteration.
 
     Each outer step solves its pattern once, with the inner call capped at
     600 (complex ADMM would burn its full budget on a wrong, infeasible
     pattern); a candidate fixed point cut at that cap is solved again with
-    the full budget.
+    the full budget.  ``unique`` (see ``_solve_restarts``) lets the burn-in
+    stop at the first pattern that passes the direct test.
     """
     complex_field = np.iscomplexobj(A)
-    m, n = A.shape
-    # At m = n every pattern passes the direct test, so it certifies nothing.
-    certify = epsilon == 0.0 and not complex_field and svd.s.size == n < m
-    x, u, levels = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, certify)
+    x, u, levels = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, unique)
     capped = replace(opts, inner_max=min(600, opts.inner_max))
     inner_total = 0
     trace = []
@@ -582,16 +586,19 @@ def _violation(feas: float, epsilon: float, scale: float) -> float:
     return max(feas - epsilon - 1e-8 * scale, 0.0)
 
 
-def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_fn, svd: _Svd):
+def _flip_descent(
+    A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_fn, svd: _Svd, scale: float
+):
     """Real-field local search: retry the lowest-margin sign flips.
 
     Each probe solves its pattern once, with the lasso path capped at 300
     steps; an improving probe cut at that cap is solved again with the full
-    cap and must still improve the (violation, objective) key.
+    cap and must still improve the (violation, objective) key.  A probe of a
+    pattern already solved here (or the chain's own fixed point) is skipped
+    but counts against the budget: the key only falls, so it cannot win.
     """
     if opts.flip_candidates == 0:
         return outcome
-    scale = 1.0 + float(np.linalg.norm(y_target))
     probe_opts = replace(opts, inner_max=min(300, opts.inner_max))
     x = outcome.xhat
     key = (_violation(outcome.feasibility, epsilon, scale), outcome.objective)
@@ -602,6 +609,7 @@ def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_
     trace = list(outcome.trace)
     improved = False
     budget = 4 * opts.flip_candidates
+    solved = {s.tobytes()} if outcome.termination == "sign_fixed_point" else set()
     tried = 0
     pos = 0
     while tried < budget and pos < min(opts.flip_candidates, order.size):
@@ -610,6 +618,9 @@ def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_
         tried += 1
         s_try = s.copy()
         s_try[j] = -s_try[j]
+        if s_try.tobytes() in solved:
+            continue
+        solved.add(s_try.tobytes())
         c = s_try * y_target - b
         res = bpdn(A, c, epsilon, probe_opts, svd=svd)
         inner += res.iterations
@@ -636,31 +647,50 @@ def _flip_descent(A, b, y_target, epsilon, opts, outcome: _RestartOutcome, feas_
 _FREEZE_LEVELS = 12  # homotopy levels a random restart keeps its pattern pinned
 
 
-def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target):
-    """Restart chains: bias-anchored fast path, then a slower homotopy from
-    the same anchor, then frozen random patterns."""
-    complex_field = np.iscomplexobj(A)
+def _restart_chains(A, b, opts):
+    """(u0, freeze levels, schedule) of each of ``opts.restarts`` chains:
+    bias-anchored fast path, then a slower homotopy from the same anchor,
+    then frozen random patterns."""
     rng = SeedSpec(opts.restart_seed & ((1 << 64) - 1), ("solver", "restarts")).rng()
     anchor = _unit_pattern(b)
     chains = [(anchor, 0, _FAST)]
     if opts.restarts >= 2:
         chains.append((anchor, 0, _SLOW))
     for _ in range(opts.restarts - len(chains)):
-        if complex_field:
+        if np.iscomplexobj(A):
             chains.append((np.exp(2j * np.pi * rng.random(A.shape[0])), _FREEZE_LEVELS, _FAST))
         else:
             chains.append((rng.choice([-1.0, 1.0], size=A.shape[0]), _FREEZE_LEVELS, _FAST))
+    return chains
+
+
+def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target, scale: float):
+    """Outcomes of the restart chains, in order, up to the first that fits y exactly.
+
+    With epsilon = 0, real A and rank(A) = n < m, an exact fit of y is
+    unique (with probability 1 for b outside the range of A): a second fit
+    x' would need A(x' + x0) = -2b on the rows where the signs differ, and
+    Ax' = Ax0 on the rest.  A chain that ends with zero violation has then
+    found the answer, so it skips flip descent and no later chain runs.
+    At m = n every pattern fits exactly, so an exact fit proves nothing.
+    """
+    complex_field = np.iscomplexobj(A)
+    m, n = A.shape
     svd = _thin_svd(A)
+    unique = epsilon == 0.0 and not complex_field and svd.s.size == n < m
     outcomes = []
-    for u0, freeze, schedule in chains:
-        out = _run_restart(A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd)
+    for u0, freeze, schedule in _restart_chains(A, b, opts):
+        out = _run_restart(A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd, unique)
+        if unique and _violation(out.feasibility, epsilon, scale) == 0.0:
+            outcomes.append(out)
+            break
         if not complex_field:
-            out = _flip_descent(A, b, y_target, epsilon, opts, out, feas_fn, svd)
+            out = _flip_descent(A, b, y_target, epsilon, opts, out, feas_fn, svd, scale)
         outcomes.append(out)
     return outcomes
 
 
-def _select_report(outcomes, epsilon, scale: float = 1.0) -> SolveReport:
+def _select_report(outcomes, epsilon, scale: float) -> SolveReport:
     # Lexicographic: smallest feasibility violation, then smallest objective.
     keys = [(_violation(o.feasibility, epsilon, scale), o.objective) for o in outcomes]
     best = min(range(len(outcomes)), key=lambda i: keys[i])
@@ -704,8 +734,10 @@ def _solve(ensemble, data, epsilon, opts, field: str, data_name: str) -> SolveRe
         def feas(x):
             return float(np.linalg.norm(np.abs(A @ x + b) - data))
 
-    outcomes = _solve_restarts(A, b, epsilon, opts, feas, y_target)
-    report = _select_report(outcomes, epsilon, scale=1.0 + float(np.linalg.norm(data)))
+    # The collar of _violation, shared by the chain stop, flip descent and selection.
+    scale = 1.0 + float(np.linalg.norm(data))
+    outcomes = _solve_restarts(A, b, epsilon, opts, feas, y_target, scale)
+    report = _select_report(outcomes, epsilon, scale)
     report.clipped_intensities = clipped
     return report
 

@@ -195,31 +195,51 @@ def test_real_bpdn_ignores_x_init(eps_share):
 )
 def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
     # Each outer step and each flip probe calls bpdn once: no call in a chain
-    # repeats the right-hand side of the call before it.  Only a call cut at
-    # its cap is solved again, and these sizes never reach a cap.
-    chains = []
-    real_bpdn, real_restart = solver.bpdn, solver._run_restart
+    # repeats the right-hand side of the call before it, and no probe repeats
+    # a pattern solved earlier in its flip descent or the chain's fixed point.
+    # Only a call cut at its cap is solved again, and these sizes never reach
+    # a cap.  At m > n with eps = 0 a chain that fits y exactly is the last,
+    # and it runs no probes.
+    chains = []  # per chain: outer-step right-hand sides, probe right-hand sides, outcome
+    sink = []
+    real_bpdn, real_restart, real_flip = solver.bpdn, solver._run_restart, solver._flip_descent
 
     def restart(*args, **kwargs):
-        chains.append([])
-        return real_restart(*args, **kwargs)
+        outer, probes = [], []
+        sink[:] = [outer]
+        out = real_restart(*args, **kwargs)
+        chains.append((outer, probes, out))
+        return out
+
+    def flip_descent(*args, **kwargs):
+        sink[:] = [chains[-1][1]]
+        return real_flip(*args, **kwargs)
 
     def counting_bpdn(D, c, epsilon, opts, **kwargs):
         res = real_bpdn(D, c, epsilon, opts, **kwargs)
         assert res.converged or res.iterations < opts.inner_max
-        chains[-1].append(np.asarray(c).tobytes())
+        sink[0].append(np.asarray(c).tobytes())
         return res
 
     monkeypatch.setattr(solver, "_run_restart", restart)
+    monkeypatch.setattr(solver, "_flip_descent", flip_descent)
     monkeypatch.setattr(solver, "bpdn", counting_bpdn)
     opts = SolverOptions(restarts=2, restart_seed=3, flip_candidates=6)
     for t in range(3):
         inst = make_instance("real", 24, 2, m, SeedSpec(97, (m, t)), epsilon=epsilon, bias=1.0)
         chains.clear()
         solve_affine_pr_real(inst.ensemble, inst.y, epsilon, opts)
-        assert len(chains) == 2
-        for calls in chains:
-            assert calls and all(a != b for a, b in zip(calls, calls[1:]))
+        scale = 1.0 + float(np.linalg.norm(inst.y))
+        first = chains[0][2]
+        stop = m > 24 and epsilon == 0.0 and _violation(first.feasibility, 0.0, scale) == 0.0
+        assert len(chains) == (1 if stop else 2)
+        for outer, probes, out in chains:
+            calls = outer + probes
+            assert outer and all(a != b for a, b in zip(calls, calls[1:]))
+            solved = probes + (outer[-1:] if out.termination == "sign_fixed_point" else [])
+            assert len(set(solved)) == len(solved)
+        if stop:
+            assert not chains[0][1]
 
 
 def _assert_bpdn_optimal(D, c, eps, x):
@@ -362,7 +382,8 @@ def full_levels(schedule) -> int:
 @pytest.mark.parametrize("m", [80, 100, 160])
 def test_burn_in_exit_keeps_the_solve_bytes(m, monkeypatch):
     # Chains: the anchor on _FAST, the anchor on _SLOW, one random pattern
-    # pinned for _FREEZE_LEVELS = 12 levels.
+    # pinned for _FREEZE_LEVELS = 12 levels; both solves stop after the
+    # first chain that fits y exactly.
     opts = SolverOptions(restarts=3, restart_seed=11)
     full = [full_levels(s) for s in (_FAST, _SLOW, _FAST)]
     recovered = 0
@@ -376,12 +397,52 @@ def test_burn_in_exit_keeps_the_solve_bytes(m, monkeypatch):
         assert rep.trace == ref.trace
         assert rep.termination == ref.termination
         assert rep.restart_index_of_best == ref.restart_index_of_best
-        assert ref.burn_in_levels == full
+        assert len(rep.burn_in_levels) == len(ref.burn_in_levels)
+        assert ref.burn_in_levels == full[: len(ref.burn_in_levels)]
         assert all(a <= f for a, f in zip(rep.burn_in_levels, full))
         if error_metrics(rep.xhat, inst.x0).relative_plain <= 1e-5:
-            assert sum(rep.burn_in_levels) < sum(full)
+            assert sum(rep.burn_in_levels) < sum(ref.burn_in_levels)
             recovered += 1
     assert recovered >= 8
+
+
+def reference_restarts(A, b, epsilon, opts, feas_fn, y_target, scale):
+    """Every restart chain, each followed by flip descent: no stop at an exact fit."""
+    m, n = A.shape
+    svd = solver._thin_svd(A)
+    unique = epsilon == 0.0 and not np.iscomplexobj(A) and svd.s.size == n < m
+    outcomes = []
+    for u0, freeze, schedule in solver._restart_chains(A, b, opts):
+        out = solver._run_restart(
+            A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd, unique
+        )
+        outcomes.append(
+            solver._flip_descent(A, b, y_target, epsilon, opts, out, feas_fn, svd, scale)
+        )
+    return outcomes
+
+
+def test_chain_stop_keeps_the_solve_bytes(monkeypatch):
+    # At real m > n and eps = 0 an exact fit is unique, so the chains and
+    # flip probes the stop skips cannot change the report's result.
+    opts = SolverOptions(restarts=3, restart_seed=11)
+    stopped = 0
+    for m in (80, 100, 160):
+        for t in range(4):
+            inst = make_instance("real", 64, 3, m, SeedSpec(98, (m, t)), bias=1.0)
+            rep = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_solve_restarts", reference_restarts)
+                ref = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+            assert rep.xhat.tobytes() == ref.xhat.tobytes()
+            assert rep.trace == ref.trace
+            assert rep.termination == ref.termination
+            assert rep.restart_index_of_best == ref.restart_index_of_best
+            assert len(ref.burn_in_levels) == opts.restarts
+            assert rep.burn_in_levels == ref.burn_in_levels[: len(rep.burn_in_levels)]
+            assert rep.inner_iters_total <= ref.inner_iters_total
+            stopped += len(rep.burn_in_levels) < opts.restarts
+    assert stopped >= 9
 
 
 @pytest.mark.parametrize(
@@ -394,10 +455,14 @@ def test_burn_in_exit_keeps_the_solve_bytes(m, monkeypatch):
     ],
 )
 def test_burn_in_exit_scope(field, n, k, m, epsilon):
-    # Noiseless data: without its guards the exit would fire at m = n and at eps > 0.
+    # Noiseless data: without its guards the exit would fire at m = n and at
+    # eps > 0, and the chain stop at every case here, since each solve fits
+    # y to within its collar.
     inst = make_instance(field, n, k, m, SeedSpec(96))
     solve = solve_affine_pr_real if field == "real" else solve_affine_pr_complex
     rep = solve(inst.ensemble, inst.y, epsilon, FAST)
+    assert _violation(rep.feasibility, epsilon, 1.0 + float(np.linalg.norm(inst.y))) == 0.0
+    assert len(rep.burn_in_levels) == FAST.restarts
     assert rep.burn_in_levels == [full_levels(_FAST), full_levels(_SLOW)]
 
 
@@ -470,8 +535,8 @@ def test_real_solver_selection_is_lexicographic_minimum():
     def feas(x):
         return float(np.linalg.norm(np.abs(A @ x + b) - y))
 
-    outcomes = _solve_restarts(A, b, 0.0, opts, feas, y)
     scale = 1.0 + float(np.linalg.norm(y))
+    outcomes = _solve_restarts(A, b, 0.0, opts, feas, y, scale)
     keys = [(_violation(o.feasibility, 0.0, scale), o.objective) for o in outcomes]
     rep = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
     chosen = (_violation(rep.feasibility, 0.0, scale), rep.objective)
