@@ -2,7 +2,8 @@
 
 * ``sparse_convex_decompose`` writes any vector with ||v||_inf <= theta and
   ||v||_1 <= k*theta as a convex combination of k-sparse atoms bounded by
-  theta in sup norm and by ||v||_1 in l1 norm.
+  theta in sup norm and by ||v||_1 in l1 norm (Cai & Zhang's sparse
+  representation of a polytope), in closed form by systematic sampling.
 * ``lifted_distance_check`` evaluates the rank-one lifting inequality
   ||u u^H - v v^H||_F >= ||u|| ||u - v|| / sqrt(2) for phase-aligned pairs.
 * ``moment_bound_check`` verifies the two-sided expectation bounds on
@@ -55,108 +56,56 @@ def check_decomposition(dec: SparseDecomposition, v, k: int, theta: float) -> No
 def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
     """Decompose v into a convex combination of k-sparse bounded atoms.
 
-    Requires ||v||_inf <= theta and ||v||_1 <= k*theta.  Greedy peeling:
-    while the remainder has more than k nonzeros, peel a saturated top-k
-    atom carrying the full l1 mass and take the largest weight keeping the
-    rescaled remainder inside the constraint polytope.  Each step either
-    zeroes a coordinate for good or pins one at theta for good, so at most
-    2n atoms are emitted (a hard counter enforces this).
+    Requires ||v||_inf <= theta and ||v||_1 <= k*theta.  A v with at most k
+    nonzeros is its own single atom.  Otherwise, with w = |v| sorted in
+    descending order, L = ||v||_1 and J = min(ceil(L/theta), k), let b be the
+    least index with w_(b+1) * (J - b) <= sum_{i>b} w_(i) (b = J - 1 always
+    qualifies).  Every atom keeps the b largest entries and puts J - b of the
+    others at the common height h = sum_{i>b} w_(i) / (J - b); the choice of
+    b gives w_(b+1) <= h < w_(b), and h = L/J <= theta when b = 0.  So each
+    atom is J-sparse with l1 norm L and the signs of v.  Which J - b
+    entries an atom takes is systematic sampling (Madow 1949): the shares
+    w_i / h <= 1 lie end to end on [0, J - b), and for t in [0, 1) the atom
+    takes the entries whose interval holds a point of t + Z.  The atom
+    weights are the lengths of the t-intervals on which that set is
+    constant, so there are at most nnz(v) atoms.
     """
     v = _checked("v", np.asarray(v, dtype=np.float64), (None,))
     if not 0.0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = v.size
-    sup = float(np.abs(v).max(initial=0.0))
-    l1 = float(np.abs(v).sum())
-    if sup > theta * (1.0 + 1e-12):
+    mags = np.abs(v)
+    l1 = float(mags.sum())
+    if float(mags.max(initial=0.0)) > theta * (1.0 + 1e-12):
         raise ValueError("precondition ||v||_inf <= theta violated")
     if l1 > k * theta * (1.0 + 1e-12):
         raise ValueError("precondition ||v||_1 <= k*theta violated")
+    if np.count_nonzero(v) <= k:
+        return SparseDecomposition(weights=[1.0], atoms=[v.copy()], k=k, theta=theta)
 
-    signs = np.where(v < 0, -1.0, 1.0)
-    # Work on the unscaled remainder w = mu * rho: its update is a pure
-    # subtraction, so no 1/(1-lam) error amplification when lam -> 1.
-    w = np.abs(v)
-    mu = 1.0
-    weights: list[float] = []
-    atoms: list[np.ndarray] = []
+    order = (-mags).argsort(kind="stable")
+    w = mags[order]
+    J = min(math.ceil(l1 / theta), k)
+    tails = np.cumsum(w[::-1])[::-1]  # tails[i] = sum of w[i:]
+    b = int(np.argmax(w[:J] * (J - np.arange(J)) <= tails[:J]))
+    h = float(tails[b]) / (J - b)
+    # Systematic sampling over the remaining entries; the clamps absorb
+    # rounding in the cumulative shares.
+    ends = np.minimum(np.cumsum(w[b:] / h), J - b)
+    ends[-1] = J - b
+    starts = np.concatenate(([0.0], ends[:-1]))
+    cuts = np.sort(np.append(ends % 1.0, 1.0))  # ends[-1] % 1 == 0 is the left end
+    widths = np.diff(cuts)
+    seg = widths > 0.0
+    t = (cuts[:-1] + 0.5 * widths)[seg][:, None]
+    hits = np.minimum(np.ceil(ends - t) - np.ceil(starts - t), 1.0)
 
-    for _ in range(2 * n + 1):
-        nz = np.count_nonzero(w)
-        if nz <= k:
-            break
-        order = (-w).argsort(kind="stable")
-        # Atom mass equals the remainder's per-unit-weight l1 exactly; any
-        # gap between the two would amplify through 1/(1-lam) at large lam.
-        L = float(w.sum()) / mu
-        j_full = int(min(math.floor(L / theta + 1e-12), k))
-        c = L - j_full * theta
-        if c < 0.0:
-            j_full -= 1
-            c = L - j_full * theta
-        if c > theta:
-            c = theta
-        atom_mag = np.zeros(n)
-        atom_mag[order[:j_full]] = theta
-        partial_idx = None
-        if c > 1e-15 * theta and j_full < k:
-            partial_idx = int(order[j_full])
-            atom_mag[partial_idx] = c
-
-        # Largest weight keeping the rescaled remainder rho = w / mu inside
-        # the polytope; only the entries at the cut are needed.
-        caps = []
-        if j_full:
-            caps.append(float(w[order[j_full - 1]]) / mu / theta)
-        if partial_idx is not None:
-            rho_partial = float(w[partial_idx]) / mu
-            caps.append(rho_partial / c)
-            if c < theta:
-                caps.append((theta - rho_partial) / (theta - c))
-        tail_start = j_full + (1 if partial_idx is not None else 0)
-        if tail_start < nz:
-            caps.append(1.0 - float(w[order[tail_start]]) / mu / theta)
-        lam = min(caps)
-        if not 0.0 < lam < 1.0:
-            raise RuntimeError(f"peeling stalled (lam={lam}); implementation bug")
-
-        weights.append(lam * mu)
-        atoms.append(signs * atom_mag)
-        mu_prev = mu
-        w = w - (lam * mu) * atom_mag
-        mu *= 1.0 - lam
-        # Snap coordinates the binding cap drove to a boundary; rounding in
-        # the subtraction lives on the pre-update scale.
-        snap = 1e-13 * mu_prev * theta
-        w[np.abs(w) <= snap] = 0.0
-        cap = mu * theta
-        w[np.abs(w - cap) <= snap] = cap
-        if w.min() < -snap or w.max() > cap + snap:
-            raise RuntimeError("peeling left the constraint polytope; implementation bug")
-        np.minimum(np.maximum(w, 0.0, out=w), cap, out=w)
-        # Boundary snaps can nudge the remainder mass above the l1 budget;
-        # repair on strictly interior coordinates so saturated ones stay
-        # saturated (otherwise they would be re-raised step after step).
-        excess = float(w.sum()) - l1 * mu
-        if excess > 0.0:
-            interior = (w > 0.0) & (w < cap)
-            pool = float(w[interior].sum())
-            if pool >= excess:
-                w[interior] *= (pool - excess) / pool
-            else:
-                w *= l1 * mu / float(w.sum())
-    else:
-        raise RuntimeError("termination bound exceeded; implementation bug")
-
-    last = np.minimum(w / mu, theta)
-    mass = float(last.sum())
-    if mass > l1 > 0:
-        last *= l1 / mass
-    weights.append(1.0 - float(np.sum(weights)))
-    atoms.append(signs * last)
-    dec = SparseDecomposition(weights=weights, atoms=atoms, k=k, theta=theta)
+    atoms = np.empty((t.shape[0], v.size))
+    atoms[:, order[:b]] = w[:b]
+    atoms[:, order[b:]] = h * hits
+    atoms *= np.where(v < 0, -1.0, 1.0)
+    dec = SparseDecomposition(weights=list(widths[seg]), atoms=list(atoms), k=k, theta=theta)
     check_decomposition(dec, v, k, theta)
     return dec
 

@@ -531,34 +531,29 @@ def _run_restart(
     the full budget.  ``unique`` (see ``_solve_restarts``) lets the burn-in
     stop at the first pattern that passes the direct test.
     """
-    complex_field = np.iscomplexobj(A)
     x, u, levels = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, unique)
     capped = replace(opts, inner_max=min(600, opts.inner_max))
     inner_total = 0
     trace = []
     termination = "max_outer"
+    # Real sign entries differ by 0 or 2, so there the test is equality.
     u_tol = min(1e-9, max(10.0 * opts.inner_tol, 1e-13))
     best_feas = math.inf
     best_obj = math.inf
     since_best = 0
-
-    def is_fixed(u_new, u_old):
-        if complex_field:
-            return float(np.max(np.abs(u_new - u_old), initial=0.0)) <= u_tol
-        return bool(np.array_equal(u_new, u_old))
 
     for _ in range(opts.outer_max):
         c = u * y_target - b
         res = bpdn(A, c, epsilon, capped, x_init=x, svd=svd)
         inner_total += res.iterations
         u_new = _unit_pattern(A @ res.x + b)
-        if is_fixed(u_new, u) and _stopped_at_cap(res, capped, opts):
+        if float(np.max(np.abs(u_new - u))) <= u_tol and _stopped_at_cap(res, capped, opts):
             res = bpdn(A, c, epsilon, opts, x_init=res.x, svd=svd)
             inner_total += res.iterations
             u_new = _unit_pattern(A @ res.x + b)
         x = res.x
         trace.append((res.objective, feas_fn(x)))
-        if is_fixed(u_new, u):
+        if float(np.max(np.abs(u_new - u))) <= u_tol:
             termination = "sign_fixed_point"
             break
         u = u_new

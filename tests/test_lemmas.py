@@ -91,16 +91,41 @@ def test_lemma_checkers_reject_bad_inputs(name, call):
         call()
 
 
+@pytest.mark.parametrize(
+    "v,k,theta",
+    [
+        pytest.param([2.0, 2.0, 1e-16, 0.5], 3, 2.0, id="tiny-entry"),
+        pytest.param([1.0, 1e-12, 1.0], 1, 2.0, id="inside-l1-collar"),
+    ],
+)
+def test_decompose_admissible_edge_inputs(v, k, theta):
+    v = np.array(v)
+    check_decomposition(sparse_convex_decompose(v, k, theta), v, k, theta)
+
+
 def test_decompose_random_sweep():
     rng = np.random.default_rng(50)
-    for _ in range(300):
+    for i in range(600):
         n = int(rng.integers(1, 33))
         k = int(rng.integers(1, n + 1))
         theta = float(rng.uniform(0.1, 2.0))
         v = admissible_vector(rng, n, k, theta)
+        if i % 2:
+            # j < k entries at +-theta, exact zeros among the rest, and the
+            # rest scaled onto ||v||_1 = k*theta when that keeps them in
+            # [-theta, theta] (always when they would exceed the budget).
+            idx = rng.permutation(n)
+            j = int(rng.integers(0, k))
+            v[idx[:j]] = np.where(v[idx[:j]] < 0, -theta, theta)
+            rest = idx[j:]
+            v[rest[rng.random(rest.size) < 0.3]] = 0.0
+            l1 = np.sum(np.abs(v[rest]))
+            scale = (k - j) * theta / l1 if l1 > 0 else 1.0
+            if scale < 1.0 or scale * np.max(np.abs(v[rest])) <= theta:
+                v[rest] *= scale
         dec = sparse_convex_decompose(v, k, theta)
         check_decomposition(dec, v, k, theta)
-        assert len(dec.atoms) <= 2 * n + 1
+        assert len(dec.atoms) <= np.count_nonzero(v) + 1
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
