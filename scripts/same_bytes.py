@@ -36,7 +36,11 @@ termination, trace and clipped count), so a change below the CSV's 12
 printed digits still shows, and a change confined to some m shows which;
 and ``<name> iters m=<m>`` over the work (outer steps, inner iterations and
 burn-in levels), so a change that moves only iteration counts shows as
-such.  It prints the SHA-256 of every output for both trees side by side.
+such.  Every srip and ripmap experiment also gets a ``<name> estimates``
+digest over its estimates (the repr of ``lower_hat``, ``upper_hat`` and
+``samples``, and the witness bytes), so a change below the CSV's digits
+shows there too.  It prints the SHA-256 of every output for both trees side
+by side.
 It also records every trial's success flag in each grid cell and lists each
 trial whose flag differs between the trees.  It exits with status 1 if any
 output or flag differs, 0 if all are identical.  A run takes about 115 s
@@ -281,6 +285,15 @@ def recording(solve):
         solves.setdefault(("iters", ensemble.m), []).append(repr(work).encode())
         return rep
     return wrapped
+estimates = []  # bytes of each srip/ripmap estimate of the current job
+def estimating(sample):
+    def wrapped(*args, **kwargs):
+        est = sample(*args, **kwargs)
+        witnesses = [w if isinstance(w, tuple) else (w,) for w in (est.witness_lower, est.witness_upper)]
+        estimates.append(repr((est.lower_hat, est.upper_hat, est.samples)).encode()
+                         + b"".join(a.tobytes() for pair in witnesses for a in pair))
+        return est
+    return wrapped
 cells = []  # (m, k, epsilon, flags) of each grid cell the current job runs
 def flagging(run_cell):
     def wrapped(config, m, k, epsilon):
@@ -288,9 +301,12 @@ def flagging(run_cell):
         cells.append((m, k, epsilon, "".join("1" if t.success else "0" for t in trials)))
         return cell, trials
     return wrapped
-# The harness calls the solvers and run_cell through its own namespace.
+# The harness calls the solvers, the samplers and run_cell through its own
+# namespace.
 harness.solve_affine_pr_real = recording(harness.solve_affine_pr_real)
 harness.solve_affine_pr_complex = recording(harness.solve_affine_pr_complex)
+harness.srip_profile = estimating(harness.srip_profile)
+harness.rip_ratio_sample = estimating(harness.rip_ratio_sample)
 harness.run_cell = flagging(harness.run_cell)
 run = {
     "phase_grid": harness.run_phase_grid,
@@ -305,10 +321,13 @@ for name, cfg in jobs:
     path = os.path.join(out_dir, name)
     config = harness.ExperimentConfig.from_dict(dict(cfg, output_path=path))
     solves.clear()
+    estimates.clear()
     cells.clear()
     run[config.experiment](config)
     with open(path, "rb") as fh:
         digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    if estimates:
+        digests[f"{name} estimates"] = hashlib.sha256(b"".join(estimates)).hexdigest()
     for kind, m in sorted(solves):
         digests[f"{name} {kind} m={m}"] = hashlib.sha256(b"".join(solves[kind, m])).hexdigest()
     for m, k, epsilon, bits in cells:

@@ -21,6 +21,16 @@ from .model import _checked
 from .rng import SeedSpec
 
 
+def _height_cap(theta: float) -> float:
+    """The largest entry a vector or atom may hold under the budget theta.
+
+    The 1e-12 collar absorbs rounding.  The precondition bounds both
+    ||v||_inf and ||v||_1 / k by this one float, and the validator bounds
+    every atom entry by it, so any admissible v has atoms that pass.
+    """
+    return theta * (1.0 + 1e-12)
+
+
 @dataclass
 class SparseDecomposition:
     weights: list
@@ -42,7 +52,7 @@ def check_decomposition(dec: SparseDecomposition, v, k: int, theta: float) -> No
     mags = np.abs(atoms)
     if (np.count_nonzero(atoms, axis=1) > k).any():
         raise AssertionError("atom not k-sparse")
-    if (mags.max(axis=1, initial=0.0) > theta * (1.0 + 1e-12)).any():
+    if (mags.max(axis=1, initial=0.0) > _height_cap(theta)).any():
         raise AssertionError("atom exceeds sup-norm budget")
     if (mags.sum(axis=1) > l1_v * (1.0 + 1e-12) + 1e-15).any():
         raise AssertionError("atom exceeds l1 budget")
@@ -77,9 +87,10 @@ def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
         raise ValueError("k must be >= 1")
     mags = np.abs(v)
     l1 = float(mags.sum())
-    if float(mags.max(initial=0.0)) > theta * (1.0 + 1e-12):
+    cap = _height_cap(theta)
+    if float(mags.max(initial=0.0)) > cap:
         raise ValueError("precondition ||v||_inf <= theta violated")
-    if l1 > k * theta * (1.0 + 1e-12):
+    if l1 / k > cap:
         raise ValueError("precondition ||v||_1 <= k*theta violated")
     if np.count_nonzero(v) <= k:
         return SparseDecomposition(weights=[1.0], atoms=[v.copy()], k=k, theta=theta)
@@ -89,7 +100,9 @@ def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
     J = min(math.ceil(l1 / theta), k)
     tails = np.cumsum(w[::-1])[::-1]  # tails[i] = sum of w[i:]
     b = int(np.argmax(w[:J] * (J - np.arange(J)) <= tails[:J]))
-    h = float(tails[b]) / (J - b)
+    # With b = 0 the height is l1 / J, which the precondition bounds by cap
+    # (J < k only when l1 / J <= theta); tails[0] may round above l1.
+    h = (l1 if b == 0 else float(tails[b])) / (J - b)
     # Systematic sampling over the remaining entries; the clamps absorb
     # rounding in the cumulative shares.
     ends = np.minimum(np.cumsum(w[b:] / h), J - b)

@@ -11,6 +11,12 @@ Covers three objects:
 
 Estimates are reported as observed extremes with reproducible witnesses,
 never as certified bounds.
+
+Both samplers draw each trial from its own stream, then evaluate a block of
+up to ``_BLOCK`` trials per numpy call: a k-sparse vector is multiplied by
+its k support columns only, one gemv per trial through a stacked matmul,
+and norms are per-trial BLAS dots.  These are the calls a trial alone would
+make, so no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import numpy as np
 from .model import _checked
 from .rng import SeedSpec, _splitmix64
 
-# Trials whose ratios are evaluated together: enough to keep BLAS busy
-# between Python draws, few enough that a block's products (3 x 64 x m
-# complex) stay near a megabyte.
+# Trials evaluated together: enough to amortize numpy's per-call cost over
+# the block, few enough that a block's gathered support columns (64 x k x m)
+# stay near a megabyte.
 _BLOCK = 64
 
 
@@ -64,14 +70,31 @@ def srip_extremes_for_x(A, x) -> tuple[float, float]:
     x = _checked("x", x, (A.shape[1],))
     if float(np.real(np.vdot(x, x))) == 0.0:
         raise ValueError("x must be nonzero")
-    return _sparse_extremes(A, slice(None), x, math.ceil(A.shape[0] / 2))
+    low, high = _sparse_extremes((A @ x)[None], x[None], math.ceil(A.shape[0] / 2))
+    return float(low[0]), float(high[0])
 
 
-def _sparse_extremes(A, support, values, keep):
-    sq = np.abs(A[:, support] @ values) ** 2
-    nx2 = float(np.vdot(values, values).real)
-    part = np.partition(sq, keep - 1)
-    return float(part[:keep].sum()) / nx2, float(sq.sum()) / nx2
+def _support_products(A, support, values):
+    """Row i is A[:, support[i]] @ values[i], by one gemv per row.
+
+    The gather stores each row's columns in the same column-major layout as
+    A[:, support[i]] alone, so each gemv is the call that product makes.
+    """
+    return np.matmul(A[:, support].transpose(1, 0, 2), values[:, :, None])[:, :, 0]
+
+
+def _row_dots(X, Y):
+    """Row i is np.vdot(X[i], Y[i]), by the same BLAS dot per row."""
+    return np.matmul(X.conj()[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _sparse_extremes(ax, values, keep):
+    """Per-row (keep smallest, all) sums of |A x|^2 / ||x||^2, from the rows
+    of A x and the nonzero values of each x."""
+    sq = np.abs(ax) ** 2
+    nx2 = _row_dots(values, values).real
+    part = np.partition(sq, keep - 1, axis=1)
+    return part[:, :keep].sum(axis=1) / nx2, sq.sum(axis=1) / nx2
 
 
 def srip_profile(
@@ -95,7 +118,13 @@ def srip_profile(
     Per-trial streams are derived from ``seed`` (trial t reads the stream of
     ``seed.child("srip", t)``), so extending ``trials`` under the same seed
     only adds samples: the lower estimate is nonincreasing and the upper
-    nondecreasing in ``trials``.
+    nondecreasing in ``trials``.  Trial t reads, in order, its base support
+    and values, then for each side and swap a position, a rank among the
+    free coordinates and a value; no draw depends on an earlier swap's
+    outcome.  So each block of up to ``_BLOCK`` trials is drawn first and
+    then runs its greedy swaps in lockstep, one swap step for every trial
+    per numpy call.  The witness of each side is the first trial, in trial
+    order, that attains the extreme.
     """
     A = _checked("A", A, (None, None))
     if trials < 1:
@@ -108,60 +137,76 @@ def srip_profile(
         raise ValueError(f"need 1 <= k <= {head}, got k={k}")
     keep = math.ceil(m / 2)
     complex_field = np.iscomplexobj(A)
-    # The head part of a support always holds k distinct coordinates.
+    # The head part of a support always holds k distinct coordinates.  With
+    # none left outside it there is no swap, and the rest of the stream is
+    # never read.
     free = head - k
-
-    best_low = math.inf
-    best_high = -math.inf
-    wit_low = wit_high = None
+    swaps = refine_swaps // 2 if free else 0
+    width = k + 1 if last_coord_free else k
 
     def draw_values(rng, size):
         if complex_field:
             return rng.standard_normal(size) + 1j * rng.standard_normal(size)
         return rng.standard_normal(size)
 
-    for trial_seed in _trial_seeds(seed, "srip", trials):
-        rng = np.random.default_rng(trial_seed)
-        base_support = np.sort(rng.choice(head, size=k, replace=False))
-        if last_coord_free:
-            base_support = np.append(base_support, head)
-        base_values = draw_values(rng, base_support.size)
+    best = [math.inf, -math.inf]
+    witness = [None, None]
+    seeds = _trial_seeds(seed, "srip", trials)
+    ranks = np.arange(k)
 
-        for lower in (True, False):
-            side = 0 if lower else 1
-            support, values = base_support, base_values
-            score = _sparse_extremes(A, support, values, keep)[side]
-            for _ in range(refine_swaps // 2):
-                swap_pos = int(rng.integers(0, k))
-                if free == 0:
-                    break
-                # The r-th coordinate outside the support, counting upwards.
-                new_idx = int(rng.integers(0, free))
-                for taken in sorted(support[:k].tolist()):
-                    if taken > new_idx:
-                        break
-                    new_idx += 1
+    for start in range(0, trials, _BLOCK):
+        size = min(_BLOCK, trials - start)
+        # Column k, when present, is the free last coordinate.
+        base_support = np.full((size, width), head)
+        base_values = np.empty((size, width), dtype=A.dtype)
+        swap_pos = np.empty((2, swaps, size), dtype=np.intp)
+        swap_rank = np.empty((2, swaps, size), dtype=np.intp)
+        swap_value = np.empty((2, swaps, size), dtype=A.dtype)
+        for i in range(size):
+            rng = np.random.default_rng(next(seeds))
+            base_support[i, :k] = np.sort(rng.choice(head, size=k, replace=False))
+            base_values[i] = draw_values(rng, width)
+            for side in range(2):
+                for s in range(swaps):
+                    swap_pos[side, s, i] = rng.integers(0, k)
+                    swap_rank[side, s, i] = rng.integers(0, free)
+                    swap_value[side, s, i] = draw_values(rng, 1)[0]
+
+        rows = np.arange(size)
+        base_scores = _sparse_extremes(
+            _support_products(A, base_support, base_values), base_values, keep
+        )
+        for side in range(2):
+            lower = side == 0
+            support, values, score = base_support, base_values, base_scores[side]
+            for s in range(swaps):
+                # The r-th coordinate outside the support, counting upwards,
+                # is r plus the number of support coordinates below it: those
+                # with at most r free coordinates beneath them.
+                r = swap_rank[side, s]
+                below = np.sort(support[:, :k], axis=1) - ranks <= r[:, None]
                 trial_support = support.copy()
-                trial_support[swap_pos] = new_idx
+                trial_support[rows, swap_pos[side, s]] = r + np.count_nonzero(below, axis=1)
                 trial_values = values.copy()
-                trial_values[swap_pos] = draw_values(rng, 1)[0]
-                cand = _sparse_extremes(A, trial_support, trial_values, keep)[side]
-                if (cand < score) if lower else (cand > score):
-                    support, values, score = trial_support, trial_values, cand
-            if (score < best_low) if lower else (score > best_high):
+                trial_values[rows, swap_pos[side, s]] = swap_value[side, s]
+                ax = _support_products(A, trial_support, trial_values)
+                cand = _sparse_extremes(ax, trial_values, keep)[side]
+                take = cand < score if lower else cand > score
+                support = np.where(take[:, None], trial_support, support)
+                values = np.where(take[:, None], trial_values, values)
+                score = np.where(take, cand, score)
+            i = int(np.argmin(score) if lower else np.argmax(score))
+            if (score[i] < best[side]) if lower else (score[i] > best[side]):
                 vec = np.zeros(n, dtype=A.dtype)
-                vec[support] = values
-                if lower:
-                    best_low, wit_low = score, vec / np.linalg.norm(vec)
-                else:
-                    best_high, wit_high = score, vec / np.linalg.norm(vec)
+                vec[support[i]] = values[i]
+                best[side], witness[side] = float(score[i]), vec / np.linalg.norm(vec)
 
     return RipEstimate(
-        lower_hat=best_low,
-        upper_hat=best_high,
+        lower_hat=best[0],
+        upper_hat=best[1],
         samples=trials,
-        witness_lower=wit_low,
-        witness_upper=wit_high,
+        witness_lower=witness[0],
+        witness_upper=witness[1],
         config={
             "k": k,
             "subset_fraction": 0.5,
@@ -197,23 +242,23 @@ def lifted_map_apply(A, b, H, h) -> np.ndarray:
     return np.asarray(out, dtype=np.float64)
 
 
-def _ratios(A, conj_b, X, Z):
+def _ratios(A, conj_b, X, Z, sup_x, sup_z):
     """l1/Frobenius ratios and ||H'||_F for the rows of X and Z.
 
-    Row i gives H = x x^H - z z^H and h = x - z with x = X[i], z = Z[i].
-    The stacked matmul runs one gemv per row, the same call as ``A @ x``, and
-    the inner products are per-row vdots, so each row's ratio is bit-for-bit
-    what the pair alone would give, whatever block it is evaluated in.
+    Row i gives H = x x^H - z z^H and h = x - z with x = X[i], z = Z[i],
+    whose nonzeros lie in the columns sup_x[i] and sup_z[i].  A x and A z
+    are products with those columns only, one gemv per row, and
+    A h = A x - A z; the Frobenius terms are per-row BLAS dots.  So each
+    row's ratio is bit-for-bit what the pair alone would give, whatever
+    block it is evaluated in.
     """
-    Hm = X - Z
-    ax, az, ah = (np.matmul(A, V[:, :, None])[:, :, 0] for V in (X, Z, Hm))
-    vals = np.abs(ax) ** 2 - np.abs(az) ** 2 + 2.0 * np.real(conj_b * ah)
-    frob2 = np.empty(X.shape[0])
-    for i, (x, z, h) in enumerate(zip(X, Z, Hm)):
-        xx = float(np.real(np.vdot(x, x)))
-        zz = float(np.real(np.vdot(z, z)))
-        xz = abs(complex(np.vdot(x, z))) ** 2
-        frob2[i] = xx**2 + zz**2 - 2.0 * xz + 2.0 * float(np.real(np.vdot(h, h)))
+    ax = _support_products(A, sup_x, np.take_along_axis(X, sup_x, axis=1))
+    az = _support_products(A, sup_z, np.take_along_axis(Z, sup_z, axis=1))
+    vals = np.abs(ax) ** 2 - np.abs(az) ** 2 + 2.0 * np.real(conj_b * (ax - az))
+    xx = _row_dots(X, X).real
+    zz = _row_dots(Z, Z).real
+    xz = np.abs(_row_dots(X, Z)) ** 2
+    frob2 = xx**2 + zz**2 - 2.0 * xz + 2.0 * _row_dots(X - Z, X - Z).real
     frob = np.sqrt(np.maximum(frob2, 0.0))
     l1 = np.abs(vals).sum(axis=1)
     ratio = np.divide(l1, A.shape[0] * frob, out=np.zeros_like(l1), where=frob > 0.0)
@@ -229,10 +274,11 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
     1e-12 are skipped.
 
     Trial t draws (shared flag, supports, values) from the stream of
-    ``seed.child("ripmap", t)``, one trial after another.  The ratios are
-    evaluated for blocks of up to 64 trials at a time and then scanned in
-    trial order, so the estimate and its witnesses do not depend on the
-    block size.
+    ``seed.child("ripmap", t)``, one trial after another.  The ratios of a
+    block of up to ``_BLOCK`` trials are evaluated together from each draw's
+    support columns (see ``_ratios``), and each witness is the first trial,
+    in trial order, that attains its extreme, so neither the estimate nor
+    its witnesses depend on the block size.
     """
     A = _checked("A", A, (None, None))
     m, n = A.shape
@@ -260,25 +306,24 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
         size = min(_BLOCK, trials - start)
         X = np.zeros((size, n), dtype=A.dtype)
         Z = np.zeros((size, n), dtype=A.dtype)
+        sup_x = np.empty((size, k), dtype=np.intp)
+        sup_z = np.empty((size, k), dtype=np.intp)
         for i in range(size):
             rng = np.random.default_rng(next(seeds))
             shared = bool(rng.integers(0, 2))
-            sup_x = rng.choice(n, size=k, replace=False)
-            sup_z = sup_x if shared else rng.choice(n, size=k, replace=False)
-            draw(rng, X[i], sup_x)
-            draw(rng, Z[i], sup_z)
-        ratio, frob = _ratios(A, conj_b, X, Z)
-        for i in range(size):
-            if frob[i] < 1e-12:
-                continue
-            used += 1
-            r = float(ratio[i])
-            if r < best_low:
-                best_low = r
-                wit_low = (X[i].copy(), Z[i].copy())
-            if r > best_high:
-                best_high = r
-                wit_high = (X[i].copy(), Z[i].copy())
+            sup_x[i] = rng.choice(n, size=k, replace=False)
+            sup_z[i] = sup_x[i] if shared else rng.choice(n, size=k, replace=False)
+            draw(rng, X[i], sup_x[i])
+            draw(rng, Z[i], sup_z[i])
+        ratio, frob = _ratios(A, conj_b, X, Z, sup_x, sup_z)
+        valid = frob >= 1e-12
+        used += int(np.count_nonzero(valid))
+        low = int(np.argmin(np.where(valid, ratio, math.inf)))
+        if valid[low] and ratio[low] < best_low:
+            best_low, wit_low = float(ratio[low]), (X[low].copy(), Z[low].copy())
+        high = int(np.argmax(np.where(valid, ratio, -math.inf)))
+        if valid[high] and ratio[high] > best_high:
+            best_high, wit_high = float(ratio[high]), (X[high].copy(), Z[high].copy())
 
     if used == 0:
         raise ValueError("all sampled H' were degenerate")
@@ -299,7 +344,9 @@ def structured_ratio(A, b, x, z) -> float:
     b = _checked("b", b, (m,))
     x = _checked("x", x, (n,))
     z = _checked("z", z, (n,))
-    ratio, frob = _ratios(A, np.conj(b), x[None], z[None])
+    ratio, frob = _ratios(
+        A, np.conj(b), x[None], z[None], np.flatnonzero(x)[None], np.flatnonzero(z)[None]
+    )
     if frob[0] < 1e-12:
         raise ValueError("degenerate witness")
     return float(ratio[0])

@@ -269,3 +269,41 @@ def test_moment_bound_uses_modulus_of_bias():
     b = moment_bounds(H, h, -2.0)
     c = moment_bounds(H, h, 2.0j)
     assert a == b == c
+
+
+def test_decompose_accepts_the_whole_collar_and_nothing_above():
+    # Every entry and ||v||_1 / k may exceed theta by the 1e-12 collar and no
+    # more.  Each v sits at the top of it: j < k entries at the cap and the
+    # rest (all equal, or spread) scaled to the largest admissible float, so
+    # every atom's height is within an ulp of the cap.  One ulp more scale
+    # must be refused.
+    rng = np.random.default_rng(51)
+    checked = 0
+    for i in range(2000):
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, n))
+        theta = float(rng.uniform(0.1, 3.0))
+        cap = theta * (1.0 + 1e-12)
+        j = int(rng.integers(0, k)) if i % 2 else 0
+        rest = rng.uniform(0.2, 1.0, n - j) if i % 4 == 3 else np.ones(n - j)
+        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+
+        def vector(scale):
+            return signs * np.concatenate([np.full(j, cap), scale * rest])
+
+        def admissible(v):
+            return np.abs(v).max() <= cap and np.abs(v).sum() / k <= cap
+
+        scale = (k - j) * cap / rest.sum()
+        if scale * rest.max() > cap:
+            continue
+        while not admissible(vector(scale)):
+            scale = np.nextafter(scale, 0.0)
+        while admissible(vector(np.nextafter(scale, np.inf))):
+            scale = np.nextafter(scale, np.inf)
+        v = vector(scale)
+        check_decomposition(sparse_convex_decompose(v, k, theta), v, k, theta)
+        with pytest.raises(ValueError, match="precondition"):
+            sparse_convex_decompose(vector(np.nextafter(scale, np.inf)), k, theta)
+        checked += 1
+    assert checked > 1500

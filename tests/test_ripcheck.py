@@ -159,7 +159,8 @@ def test_rip_ratio_skips_degenerate_draws():
     from affinepr.ripcheck import _ratios
 
     x = np.array([1.0 + 0j, 0.0])
-    _, frob = _ratios(np.eye(2) + 0j, np.zeros(2) + 0j, x[None], x[None])
+    support = np.array([[0]])
+    _, frob = _ratios(np.eye(2) + 0j, np.zeros(2) + 0j, x[None], x[None], support, support)
     assert frob[0] < 1e-12
     with pytest.raises(ValueError, match="degenerate"):
         structured_ratio(np.eye(2) + 0j, np.zeros(2) + 0j, x, x)
@@ -257,7 +258,7 @@ def reference_srip_profile(A, k, trials, seed, last_coord_free=False, refine_swa
 
 
 def reference_rip_ratio_sample(A, b, k, trials, seed):
-    """One stream and one dense A @ x evaluation per trial."""
+    """One stream per trial; A x and A z from the k support columns each."""
     m, n = A.shape
     best = [math.inf, -math.inf]
     wit = [None, None]
@@ -275,7 +276,8 @@ def reference_rip_ratio_sample(A, b, k, trials, seed):
             else:
                 v[sup] = rng.standard_normal(k)
         h = x - z
-        vals = np.abs(A @ x) ** 2 - np.abs(A @ z) ** 2 + 2.0 * np.real(np.conj(b) * (A @ h))
+        ax, az = A[:, sup_x] @ x[sup_x], A[:, sup_z] @ z[sup_z]
+        vals = np.abs(ax) ** 2 - np.abs(az) ** 2 + 2.0 * np.real(np.conj(b) * (ax - az))
         xz = abs(complex(np.vdot(x, z))) ** 2
         frob2 = np.vdot(x, x).real ** 2 + np.vdot(z, z).real ** 2 - 2.0 * xz + 2.0 * np.vdot(h, h).real
         if frob2 <= 0 or math.sqrt(frob2) < 1e-12:
@@ -299,17 +301,23 @@ def reference_rip_ratio_sample(A, b, k, trials, seed):
         ("real", 9, 4, 3, True),  # head == k with the free last coordinate
     ],
 )
-def test_srip_profile_matches_reference_loop(field, m, n, k, last_coord_free):
+def test_srip_profile_matches_reference_loop(monkeypatch, field, m, n, k, last_coord_free):
+    # 130 trials run as three blocks of the default size and as 19 of 7; the
+    # lockstep swaps must give the reference loop's extremes and witness bytes.
+    from affinepr import ripcheck
+
     gen = gen_real_gaussian_matrix if field == "real" else gen_complex_gaussian_matrix
     A = gen(m, n, SeedSpec(60, (field, m, n)))
     seed = SeedSpec(61, (field, k))
-    est = srip_profile(A, k, 25, seed, last_coord_free=last_coord_free, refine_swaps=12)
     (low, high), (wit_low, wit_high) = reference_srip_profile(
-        A, k, 25, seed, last_coord_free=last_coord_free, refine_swaps=12
+        A, k, 130, seed, last_coord_free=last_coord_free, refine_swaps=12
     )
-    assert (est.lower_hat, est.upper_hat) == (low, high)
-    assert np.array_equal(est.witness_lower, wit_low)
-    assert np.array_equal(est.witness_upper, wit_high)
+    for block in (ripcheck._BLOCK, 7):
+        monkeypatch.setattr(ripcheck, "_BLOCK", block)
+        est = srip_profile(A, k, 130, seed, last_coord_free=last_coord_free, refine_swaps=12)
+        assert (est.lower_hat, est.upper_hat) == (low, high)
+        assert est.witness_lower.tobytes() == wit_low.tobytes()
+        assert est.witness_upper.tobytes() == wit_high.tobytes()
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -372,3 +380,72 @@ def _bad_inputs():
 def test_isometry_checkers_reject_bad_inputs(name, call):
     with pytest.raises(ValueError, match=rf"^{name} "):
         call()
+
+
+def test_srip_profile_evaluates_each_swap_step_once_per_block(monkeypatch):
+    from affinepr import ripcheck
+
+    calls = []
+    evaluate = ripcheck._sparse_extremes
+    monkeypatch.setattr(
+        ripcheck, "_sparse_extremes", lambda *args: calls.append(args[0].shape[0]) or evaluate(*args)
+    )
+    A = gen_real_gaussian_matrix(20, 12, SeedSpec(67))
+    srip_profile(A, 2, 130, SeedSpec(68), refine_swaps=10)
+    # Per block: the base vectors, then 5 swap steps for each side.
+    assert calls == [64] * 11 + [64] * 11 + [2] * 11
+
+
+def _recorded_ratio_blocks(monkeypatch, A, b, k, trials, seed):
+    """rip_ratio_sample's estimate and the (X, Z, sup_x, sup_z, ratio, frob)
+    of each block it evaluated."""
+    from affinepr import ripcheck
+
+    blocks = []
+    evaluate = ripcheck._ratios
+
+    def recording(A, conj_b, X, Z, sup_x, sup_z):
+        ratio, frob = evaluate(A, conj_b, X, Z, sup_x, sup_z)
+        blocks.append((X, Z, sup_x, sup_z, ratio, frob))
+        return ratio, frob
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ripcheck, "_ratios", recording)
+        est = rip_ratio_sample(A, b, k, trials, seed)
+    return est, blocks
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rip_ratio_sample_ratios_match_dense_lifted_map(monkeypatch, field):
+    m, n, k = 30, 8, 3  # small n: disjoint draws often share coordinates
+    seed = SeedSpec(69, (field,))
+    if field == "real":
+        A = gen_real_gaussian_matrix(m, n, seed.child("A"))
+        b = seed.child("b").rng().standard_normal(m)
+    else:
+        ens = make_ensemble("complex", m, n, seed.child("A"))
+        A, b = ens.A, ens.b
+    _, blocks = _recorded_ratio_blocks(monkeypatch, A, b, k, 100, seed)
+    overlapping = 0
+    for X, Z, sup_x, sup_z, ratio, frob in blocks:
+        for x, z, sx, sz, got, got_frob in zip(X, Z, sup_x, sup_z, ratio, frob):
+            H = np.outer(x, x.conj()) - np.outer(z, z.conj())
+            h = x - z
+            want_frob = math.sqrt(np.linalg.norm(H) ** 2 + 2.0 * np.linalg.norm(h) ** 2)
+            want = np.sum(np.abs(lifted_map_apply(A, b, H, h))) / (m * want_frob)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert got_frob == pytest.approx(want_frob, rel=1e-12)
+            shared = set(sx) & set(sz)
+            overlapping += 0 < len(shared) < k
+    assert overlapping > 0
+
+
+def test_rip_ratio_sample_trial_ratios_do_not_depend_on_trial_count(monkeypatch):
+    ens = make_ensemble("complex", 50, 16, SeedSpec(70))
+    runs = {}
+    for trials in (63, 64, 65, 130):
+        _, blocks = _recorded_ratio_blocks(monkeypatch, ens.A, ens.b, 3, trials, SeedSpec(71))
+        runs[trials] = np.concatenate([block[4] for block in blocks])
+        assert runs[trials].size == trials
+    for trials, ratios in runs.items():
+        assert ratios.tobytes() == runs[130][:trials].tobytes()
