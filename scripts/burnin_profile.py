@@ -2,6 +2,7 @@
 
     python3 scripts/burnin_profile.py SRC timing [SOLVES]
     python3 scripts/burnin_profile.py SRC complex-levels [TRIALS]
+    python3 scripts/burnin_profile.py SRC settle-levels [TRIALS [M]]
 
 SRC is a ``src`` directory holding an ``affinepr`` package; the package is
 imported from there only.  Set ``OPENBLAS_NUM_THREADS`` in the environment to
@@ -10,7 +11,8 @@ measure a BLAS thread count.  Each mode prints one JSON object.
 ``timing`` solves SOLVES (default 12) real instances per m in 40, 100 and
 160 (n=64, k=3, constant bias c=1, ``restarts=2``, seeds ``("burnin", m, t)``)
 after one warm-up solve, and reports the median ms per solve spent inside
-``solver._homotopy_burn_in`` and in the whole solve.
+``solver._homotopy_burn_in`` and in the whole solve, and the median and
+total burn-in levels per chain that ran.
 
 ``complex-levels`` replays the burn-in of both anchor chains for TRIALS
 (default 100) instances of acceptance criterion 3's cell, read from
@@ -20,7 +22,17 @@ A x = u*y - b recorded.  For each residual tolerance it reports how many
 trials reach it at some level, the first such level, and in how many of
 them that level's direct solve already recovers x0 (the harness's
 global-phase success test).  Needs a tree whose burn-in takes the
-``certify`` argument and calls ``solver._direct``.
+``certify`` and ``floor`` arguments and calls ``solver._direct``.
+
+``settle-levels`` replays the burn-in of both anchor chains for TRIALS
+(default 100) instances of acceptance criterion 2's cell at M measurements
+(default 40), on criterion 2's master seed (also the benchmark's
+``default``) and on the benchmark's ``heldout`` seed.  Each chain runs to
+``solver._FLOOR`` with the sign pattern recorded after every level, and
+again to ``solver._SETTLED_FLOOR``.  Per seed and schedule it reports the
+distribution of the level at which the pattern last changed, and in how
+many chains the run to the settled floor ends on the full run's pattern.
+Needs a tree whose burn-in takes the ``floor`` argument.
 """
 
 from __future__ import annotations
@@ -35,6 +47,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Relative residuals ||A x - c|| / (1 + ||c||) of the direct solve; 1e-9 is
 # the direct path's own feasibility test.
 RESIDUAL_TOLS = (1e-9, 1e-6, 1e-3, 1e-2)
+# Criterion 2's master seed (the benchmark's "default") and the benchmark's
+# "heldout" seed.
+SETTLE_SEEDS = (20240817, 20261017)
+
+
+def fixture(name: str) -> dict:
+    with open(os.path.join(ROOT, "tests", "fixtures", "calibration.json"), encoding="utf-8") as fh:
+        return json.load(fh)[name]
+
+
+def quartiles(values) -> list:
+    import numpy as np
+
+    return [float(q) for q in np.percentile(values, [0, 25, 50, 75, 100])] if values else None
 
 
 def timing(solves: int) -> dict:
@@ -57,18 +83,22 @@ def timing(solves: int) -> dict:
     solve_affine_pr_real(warm.ensemble, warm.y, 0.0, opts)
     out = {}
     for m in (40, 100, 160):
-        solve_ms, burn_ms = [], []
+        solve_ms, burn_ms, levels = [], [], []
         for t in range(solves):
             inst = make_instance("real", 64, 3, m, SeedSpec(0, ("burnin", m, t)), bias=1.0)
             spent.clear()
             t0 = time.perf_counter()
-            solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+            rep = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
             solve_ms.append(1e3 * (time.perf_counter() - t0))
             burn_ms.append(1e3 * sum(spent))
+            levels += rep.burn_in_levels
         out[f"m={m}"] = {
             "solves": solves,
             "solve_ms_p50": statistics.median(solve_ms),
             "burn_in_ms_p50": statistics.median(burn_ms),
+            "chains": len(levels),
+            "levels_per_chain_p50": statistics.median(levels),
+            "levels_total": sum(levels),
         }
     return out
 
@@ -79,8 +109,7 @@ def complex_levels(trials: int) -> dict:
     from affinepr import SeedSpec, global_phase_error, make_instance
     from affinepr import solver
 
-    with open(os.path.join(ROOT, "tests", "fixtures", "calibration.json"), encoding="utf-8") as fh:
-        fx = json.load(fh)["complex_exact"]
+    fx = fixture("complex_exact")
     direct = solver._direct
     calls = []  # (relative residual, x) of each level's direct solve
 
@@ -100,7 +129,9 @@ def complex_levels(trials: int) -> dict:
             A, b = inst.ensemble.A, inst.ensemble.b
             calls.clear()
             u0, svd = solver._unit_pattern(b), solver._thin_svd(A)
-            full = solver._homotopy_burn_in(A, b, inst.y, u0, 0, schedule, svd, True)[2]
+            full = solver._homotopy_burn_in(
+                A, b, inst.y, u0, 0, schedule, svd, True, solver._FLOOR
+            )[2]
             tol_x0 = 1e-5 * (1.0 + float(np.linalg.norm(inst.x0)))
             for tol in RESIDUAL_TOLS:
                 for level, (rel, x) in enumerate(calls, start=1):
@@ -113,25 +144,78 @@ def complex_levels(trials: int) -> dict:
             out[name][f"residual<={tol:g}"] = {
                 "passed": len(hits),
                 "direct_solve_recovers_x0": sum(ok for _, ok in hits),
-                "first_level_min_q1_median_q3_max": [
-                    float(q) for q in np.percentile(levels, [0, 25, 50, 75, 100])
-                ]
-                if levels
-                else None,
+                "first_level_min_q1_median_q3_max": quartiles(levels),
+            }
+    return out
+
+
+def settle_levels(trials: int, m: int) -> dict:
+    import numpy as np
+
+    from affinepr import SeedSpec, make_instance
+    from affinepr import solver
+
+    fx = fixture("real_exact")
+    unit_pattern = solver._unit_pattern
+    patterns = []  # every pattern the burn-in computes, in order
+
+    def recording(v):
+        u = unit_pattern(v)
+        patterns.append(u)
+        return u
+
+    solver._unit_pattern = recording
+    out = {"n": fx["n"], "k": fx["k"], "m": m, "trials": trials}
+    for master in SETTLE_SEEDS:
+        for name, schedule in (("fast", solver._FAST), ("slow", solver._SLOW)):
+            settle, same = [], 0
+            for t in range(trials):
+                seed = SeedSpec(master, ("phase_grid", m, fx["k"], repr(0.0), t))
+                inst = make_instance("real", fx["n"], fx["k"], m, seed, bias=fx["bias_c"])
+                A, b, y = inst.ensemble.A, inst.ensemble.b, inst.y
+                u0, svd = unit_pattern(b), solver._thin_svd(A)
+                patterns.clear()
+                _, full_u, full, _ = solver._homotopy_burn_in(
+                    A, b, y, u0, 0, schedule, svd, False, solver._FLOOR
+                )
+                # An unfrozen burn-in computes the pattern before each of its
+                # ISTA steps and once at the end, so after level L it is
+                # patterns[L * steps].
+                if len(patterns) != full * schedule.steps + 1:
+                    raise SystemExit("the burn-in no longer computes one pattern per ISTA step")
+                after = patterns[:: schedule.steps]
+                last = full
+                while last > 0 and np.array_equal(after[last - 1], full_u):
+                    last -= 1
+                settle.append(last)
+                _, settled_u, short, _ = solver._homotopy_burn_in(
+                    A, b, y, u0, 0, schedule, svd, False, solver._SETTLED_FLOOR
+                )
+                same += bool(np.array_equal(settled_u, full_u))
+            out[f"seed={master} {name}"] = {
+                "chains": trials,
+                "levels": {"full": full, "settled_floor": short},
+                "last_change_level_min_q1_median_q3_max": quartiles(settle),
+                "last_change_after_settled_floor": sum(lv > short for lv in settle),
+                "settled_floor_ends_on_full_pattern": same,
             }
     return out
 
 
 def main(argv: list) -> int:
-    if len(argv) not in (2, 3) or argv[1] not in ("timing", "complex-levels"):
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+    modes = ("timing", "complex-levels", "settle-levels")
+    most = 4 if argv[1:2] == ["settle-levels"] else 3
+    if not 2 <= len(argv) <= most or argv[1] not in modes:
+        print("\n".join(__doc__.strip().splitlines()[2:5]), file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.abspath(argv[0]))
-    count = int(argv[2]) if len(argv) == 3 else None
+    count = int(argv[2]) if len(argv) >= 3 else None
     if argv[1] == "timing":
         result = timing(count or 12)
-    else:
+    elif argv[1] == "complex-levels":
         result = complex_levels(count or 100)
+    else:
+        result = settle_levels(count or 100, int(argv[3]) if len(argv) == 4 else 40)
     result["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS")
     print(json.dumps(result))
     return 0

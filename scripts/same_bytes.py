@@ -13,9 +13,12 @@ working tree.  Each tree runs in its own fresh interpreter, which imports
 * every config of the benchmark's ``isometry`` and ``real-grid`` workloads,
   read from ``perfbench/workloads.py``, for the benchmark's ``default`` and
   ``heldout`` seeds (100 outputs per seed);
-* a real phase grid with ``restarts=4`` and a complex phase grid (n=32, k=2,
-  m=112) with ``restarts=3``, which run the random-pattern restart chains and
-  the phase loop;
+* a real phase grid with ``restarts=4`` (n=32, k=2, m=40 and 72) and a
+  complex phase grid (n=32, k=2, m=112) with ``restarts=3``, which run the
+  random-pattern restart chains and the phase loop;
+* a real phase grid with ``restarts=4`` and fewer measurements than unknowns
+  (n=64, k=3, m=30 and 40), whose random chains run the burn-in that ends
+  at the settled floor (``solver._SETTLED_FLOOR``);
 * a complex phase grid with fewer measurements than unknowns (n=32, k=2,
   m=20 and 28) and a short complex noise curve (n=32, k=2, m=112,
   epsilon 0.02 and 0.08), the only configs here whose solves run complex
@@ -126,9 +129,9 @@ CRITERION_12 = {
     },
 }
 
-# Grids that reach the random restart chains (restarts > 2) and the complex
-# phase loop, and the complex configs whose inner calls run ADMM (m < n, or
-# epsilon > 0); no other config here does.
+# Grids that reach the random restart chains (restarts > 2), at real m < n
+# too, and the complex phase loop, and the complex configs whose inner calls
+# run ADMM (m < n, or epsilon > 0); no other config here does.
 SOLVER_GRIDS = {
     "real-restarts4.csv": {
         "experiment": "phase_grid",
@@ -140,6 +143,17 @@ SOLVER_GRIDS = {
         "bias": {"kind": "constant", "c": 1.0},
         "master_seed": 41,
         "solver": {"restarts": 4, "restart_seed": 5},
+    },
+    "real-underdetermined.csv": {
+        "experiment": "phase_grid",
+        "field": "real",
+        "n": 64,
+        "k_list": [3],
+        "m_list": [30, 40],
+        "trials_per_cell": 12,
+        "bias": {"kind": "constant", "c": 1.0},
+        "master_seed": 47,
+        "solver": {"restarts": 4, "restart_seed": 9},
     },
     "complex-restarts3.csv": {
         "experiment": "phase_grid",

@@ -45,7 +45,9 @@ level whose sign pattern passes the direct path's feasibility test: the
 outer loop from that pattern ignores the x it is handed, returns the one
 feasible point and stops there.  In the same case an exact fit of y is
 unique, so the first restart chain that ends at one is the answer and no
-later chain runs.
+later chain runs.  A noiseless real burn-in with rank(A) < n ends four
+decades of lam down, not seven: the outer loop reads only its sign pattern,
+which has settled by then.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ class SolveReport:
     termination: str
     trace: list = dc_field(default_factory=list)
     clipped_intensities: int = 0
-    # Burn-in levels of each restart chain that ran (full schedule unless it
-    # stopped early); fewer than ``restarts`` after a chain stop (``_solve_restarts``).
+    # Burn-in levels of each restart chain that ran (its schedule down to its
+    # floor unless it stopped early); fewer than ``restarts`` after a chain
+    # stop (``_solve_restarts``).
     burn_in_levels: list = dc_field(default_factory=list)
 
 
@@ -465,35 +468,45 @@ class _Schedule(NamedTuple):
 _FAST = _Schedule(0.9, 8, 5.0)  # the anchor chain and every random chain
 _SLOW = _Schedule(0.95, 10, 3.0)  # the second chain: same anchor, finer homotopy
 
+# Where the burn-in's lam stops, relative to its start.  A real noiseless
+# solve with rank(A) < n reads only the sign pattern the burn-in hands over
+# (real inner calls ignore x_init), and that pattern has settled by 1e-4;
+# every other solve runs the full seven decades.
+_FLOOR = 1e-7
+_SETTLED_FLOOR = 1e-4
+
 
 def _homotopy_burn_in(
-    A, b, y_target, u0, freeze_levels, schedule: _Schedule, svd: _Svd, certify: bool
+    A, b, y_target, u0, freeze_levels, schedule: _Schedule, svd: _Svd, certify: bool, floor: float
 ):
     """Proximal-gradient homotopy that forms the support and sign pattern.
 
     Runs ISTA steps on 0.5 ||A x - (u*y - b)||^2 + lam ||x||_1 while the
     unit pattern u is refreshed from A x + b after every step, shrinking
-    lam from its zero-solution threshold down by seven decades.  During the
+    lam from its zero-solution threshold lam0 down to ``floor`` * lam0:
+    ``_SETTLED_FLOOR`` (four decades) for a real noiseless solve with
+    rank(A) < n, ``_FLOOR`` (seven decades) for every other.  During the
     first ``freeze_levels`` homotopy levels u is pinned at u0 so random
     restarts explore distinct basins.  Residual entries whose current
     magnitude is below y/(1 + schedule.trust) are dropped: their pattern
     estimate is uninformative.
 
     With ``certify`` it returns after the first unfrozen level whose pattern
-    u passes ``_direct``'s test on A x = u*y - b.  Returns (x, u, levels run).
+    u passes ``_direct``'s test on A x = u*y - b, together with that direct
+    solve.  Returns (x, u, levels run, the certified ``BpdnResult`` or None).
     """
     m, n = A.shape
     Ah = A.conj().T
     lip = float(svd.s[0]) ** 2 if svd.s.size else 0.0
     if lip == 0.0:
-        return np.zeros(n, dtype=A.dtype), u0, 0
+        return np.zeros(n, dtype=A.dtype), u0, 0, None
     step = 1.0 / lip
     x = np.zeros(n, dtype=A.dtype)
     u = u0
     lam = float(np.max(np.abs(Ah @ (u * y_target - b)), initial=0.0))
     if lam == 0.0:
-        return x, u, 0
-    lam_min = 1e-7 * lam
+        return x, u, 0, None
+    lam_min = floor * lam
     level = 0
     v = A @ x + b
     while lam > lam_min:
@@ -510,9 +523,10 @@ def _homotopy_burn_in(
         level += 1
         if certify and not frozen:
             u = _unit_pattern(v)
-            if _direct(A, u * y_target - b, svd).converged:
-                return x, u, level
-    return x, _unit_pattern(v), level
+            res = _direct(A, u * y_target - b, svd)
+            if res.converged:
+                return x, u, level, res
+    return x, _unit_pattern(v), level, None
 
 
 def _stopped_at_cap(res: BpdnResult, capped: SolverOptions, opts: SolverOptions) -> bool:
@@ -521,7 +535,7 @@ def _stopped_at_cap(res: BpdnResult, capped: SolverOptions, opts: SolverOptions)
 
 
 def _run_restart(
-    A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd, unique: bool
+    A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd, unique, floor
 ):
     """Burn-in followed by the alternating constrained iteration.
 
@@ -529,9 +543,12 @@ def _run_restart(
     600 (complex ADMM would burn its full budget on a wrong, infeasible
     pattern); a candidate fixed point cut at that cap is solved again with
     the full budget.  ``unique`` (see ``_solve_restarts``) lets the burn-in
-    stop at the first pattern that passes the direct test.
+    stop at the first pattern that passes the direct test; that test's
+    solve is then the first outer step's.  ``floor`` is the burn-in's.
     """
-    x, u, levels = _homotopy_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, unique)
+    x, u, levels, certified = _homotopy_burn_in(
+        A, b, y_target, u0, freeze_levels, schedule, svd, unique, floor
+    )
     capped = replace(opts, inner_max=min(600, opts.inner_max))
     inner_total = 0
     trace = []
@@ -544,7 +561,10 @@ def _run_restart(
 
     for _ in range(opts.outer_max):
         c = u * y_target - b
-        res = bpdn(A, c, epsilon, capped, x_init=x, svd=svd)
+        if certified is None:
+            res = bpdn(A, c, epsilon, capped, x_init=x, svd=svd)
+        else:  # bpdn would return this same direct solve
+            res, certified = certified, None
         inner_total += res.iterations
         u_new = _unit_pattern(A @ res.x + b)
         if float(np.max(np.abs(u_new - u))) <= u_tol and _stopped_at_cap(res, capped, opts):
@@ -672,10 +692,14 @@ def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target, scale: float):
     complex_field = np.iscomplexobj(A)
     m, n = A.shape
     svd = _thin_svd(A)
-    unique = epsilon == 0.0 and not complex_field and svd.s.size == n < m
+    noiseless_real = epsilon == 0.0 and not complex_field
+    unique = noiseless_real and svd.s.size == n < m
+    floor = _SETTLED_FLOOR if noiseless_real and svd.s.size < n else _FLOOR
     outcomes = []
     for u0, freeze, schedule in _restart_chains(A, b, opts):
-        out = _run_restart(A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd, unique)
+        out = _run_restart(
+            A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd, unique, floor
+        )
         if unique and _violation(out.feasibility, epsilon, scale) == 0.0:
             outcomes.append(out)
             break

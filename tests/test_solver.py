@@ -199,10 +199,18 @@ def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
     # a pattern solved earlier in its flip descent or the chain's fixed point.
     # Only a call cut at its cap is solved again, and these sizes never reach
     # a cap.  At m > n with eps = 0 a chain that fits y exactly is the last,
-    # and it runs no probes.
+    # and it runs no probes; a burn-in that stops at a certified pattern
+    # hands its direct solve over as the first outer step's call.
     chains = []  # per chain: outer-step right-hand sides, probe right-hand sides, outcome
     sink = []
     real_bpdn, real_restart, real_flip = solver.bpdn, solver._run_restart, solver._flip_descent
+    real_burn_in = solver._homotopy_burn_in
+
+    def burn_in(A, b, y_target, *args):
+        out = real_burn_in(A, b, y_target, *args)
+        if out[3] is not None:
+            sink[0].append((out[1] * y_target - b).tobytes())
+        return out
 
     def restart(*args, **kwargs):
         outer, probes = [], []
@@ -222,6 +230,7 @@ def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "_run_restart", restart)
+    monkeypatch.setattr(solver, "_homotopy_burn_in", burn_in)
     monkeypatch.setattr(solver, "_flip_descent", flip_descent)
     monkeypatch.setattr(solver, "bpdn", counting_bpdn)
     opts = SolverOptions(restarts=2, restart_seed=3, flip_candidates=6)
@@ -341,20 +350,20 @@ def test_solvers_reject_negative_noiseless_magnitudes():
     assert solve_affine_pr_complex(cplx.ensemble, data, 0.0, opts).clipped_intensities == 1
 
 
-def reference_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, certify):
-    """The burn-in without the early exit: every level of the schedule runs."""
+def reference_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, certify, floor):
+    """The burn-in without the early exit: every level down to ``floor`` runs."""
     m, n = A.shape
     Ah = A.conj().T
     lip = float(svd.s[0]) ** 2 if svd.s.size else 0.0
     if lip == 0.0:
-        return np.zeros(n, dtype=A.dtype), u0, 0
+        return np.zeros(n, dtype=A.dtype), u0, 0, None
     step = 1.0 / lip
     x = np.zeros(n, dtype=A.dtype)
     u = u0
     lam = float(np.max(np.abs(Ah @ (u * y_target - b)), initial=0.0))
     if lam == 0.0:
-        return x, u, 0
-    lam_min = 1e-7 * lam
+        return x, u, 0, None
+    lam_min = floor * lam
     level = 0
     while lam > lam_min:
         frozen = level < freeze_levels
@@ -368,12 +377,17 @@ def reference_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, certify)
             x = _soft_threshold(x - step * (Ah @ resid), step * lam)
         lam *= schedule.shrink
         level += 1
-    return x, _unit_pattern(A @ x + b), level
+    return x, _unit_pattern(A @ x + b), level, None
 
 
-def full_levels(schedule) -> int:
+def full_burn_in(*args):
+    """``reference_burn_in`` down to 1e-7, whatever floor the solver hands it."""
+    return reference_burn_in(*args[:-1], 1e-7)
+
+
+def full_levels(schedule, floor) -> int:
     lam, levels = 1.0, 0
-    while lam > 1e-7:
+    while lam > floor:
         lam *= schedule.shrink
         levels += 1
     return levels
@@ -385,7 +399,7 @@ def test_burn_in_exit_keeps_the_solve_bytes(m, monkeypatch):
     # pinned for _FREEZE_LEVELS = 12 levels; both solves stop after the
     # first chain that fits y exactly.
     opts = SolverOptions(restarts=3, restart_seed=11)
-    full = [full_levels(s) for s in (_FAST, _SLOW, _FAST)]
+    full = [full_levels(s, 1e-7) for s in (_FAST, _SLOW, _FAST)]
     recovered = 0
     for t in range(10):
         inst = make_instance("real", 64, 3, m, SeedSpec(95, (m, t)), bias=1.0)
@@ -414,7 +428,7 @@ def reference_restarts(A, b, epsilon, opts, feas_fn, y_target, scale):
     outcomes = []
     for u0, freeze, schedule in solver._restart_chains(A, b, opts):
         out = solver._run_restart(
-            A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd, unique
+            A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd, unique, 1e-7
         )
         outcomes.append(
             solver._flip_descent(A, b, y_target, epsilon, opts, out, feas_fn, svd, scale)
@@ -446,24 +460,52 @@ def test_chain_stop_keeps_the_solve_bytes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, n, k, m, epsilon",
+    "field, n, k, m, epsilon, floor",
     [
-        ("real", 64, 3, 40, 0.0),  # m < n: the inner call is the exact homotopy
-        ("real", 16, 2, 16, 0.0),  # m = n: every pattern passes the direct test
-        ("real", 16, 2, 40, 0.05),  # eps > 0: a pattern fixes no single point
-        ("complex", 32, 2, 112, 0.0),  # criterion 3's config: phases are continuous
+        ("real", 64, 3, 40, 0.0, 1e-4),  # m < n: the pattern has settled by 1e-4
+        ("real", 64, 3, 40, 0.05, 1e-7),  # m < n, eps > 0: noisy patterns flicker
+        ("real", 16, 2, 16, 0.0, 1e-7),  # m = n: every pattern passes the direct test
+        ("real", 16, 2, 40, 0.05, 1e-7),  # eps > 0: a pattern fixes no single point
+        ("complex", 32, 2, 112, 0.0, 1e-7),  # criterion 3's config: phases are continuous
     ],
+    ids=["real-64-3-40-0.0", "real-64-3-40-0.05", "real-16-2-16-0.0", "real-16-2-40-0.05",
+         "complex-32-2-112-0.0"],
 )
-def test_burn_in_exit_scope(field, n, k, m, epsilon):
+def test_burn_in_exit_scope(field, n, k, m, epsilon, floor):
     # Noiseless data: without its guards the exit would fire at m = n and at
     # eps > 0, and the chain stop at every case here, since each solve fits
-    # y to within its collar.
+    # y to within its collar.  Only a real noiseless solve with rank(A) < n
+    # ends its schedule at the settled floor.
     inst = make_instance(field, n, k, m, SeedSpec(96))
     solve = solve_affine_pr_real if field == "real" else solve_affine_pr_complex
     rep = solve(inst.ensemble, inst.y, epsilon, FAST)
     assert _violation(rep.feasibility, epsilon, 1.0 + float(np.linalg.norm(inst.y))) == 0.0
     assert len(rep.burn_in_levels) == FAST.restarts
-    assert rep.burn_in_levels == [full_levels(_FAST), full_levels(_SLOW)]
+    assert rep.burn_in_levels == [full_levels(_FAST, floor), full_levels(_SLOW, floor)]
+
+
+@pytest.mark.parametrize("m", [30, 40, 50])
+def test_settled_burn_in_keeps_the_solve_bytes(m, monkeypatch):
+    # At real m < n with eps = 0 the outer loop reads only the burn-in's sign
+    # pattern, and ending the schedule at 1e-4 hands over the pattern the
+    # full schedule ends on.  Chains: the anchor on _FAST, the anchor on
+    # _SLOW, one random pattern pinned for _FREEZE_LEVELS = 12 levels.
+    opts = SolverOptions(restarts=3, restart_seed=11)
+    schedules = (_FAST, _SLOW, _FAST)
+    settled = [full_levels(s, 1e-4) for s in schedules]
+    for t in range(3):
+        inst = make_instance("real", 64, 3, m, SeedSpec(99, (m, t)), bias=1.0)
+        rep = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_homotopy_burn_in", full_burn_in)
+            ref = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+        assert rep.xhat.tobytes() == ref.xhat.tobytes()
+        assert rep.trace == ref.trace
+        assert rep.termination == ref.termination
+        assert rep.restart_index_of_best == ref.restart_index_of_best
+        assert len(rep.burn_in_levels) == len(ref.burn_in_levels) == opts.restarts
+        assert ref.burn_in_levels == [full_levels(s, 1e-7) for s in schedules]
+        assert all(a <= f for a, f in zip(rep.burn_in_levels, settled))
 
 
 def test_bpdn_complex_field():
