@@ -42,7 +42,9 @@ burn-in levels), so a change that moves only iteration counts shows as
 such.  Every srip and ripmap experiment also gets a ``<name> estimates``
 digest over its estimates (the repr of ``lower_hat``, ``upper_hat`` and
 ``samples``, and the witness bytes), so a change below the CSV's digits
-shows there too.  It prints the SHA-256 of every output for both trees side
+shows there too.  Every lemma suite also gets a ``<name> moments`` digest
+over the repr of each ``moment_bound_check`` result (Monte Carlo mean,
+bounds and verdict), since its JSON output holds only counts.  It prints the SHA-256 of every output for both trees side
 by side.
 It also records every trial's success flag in each grid cell and lists each
 trial whose flag differs between the trees.  It exits with status 1 if any
@@ -267,6 +269,7 @@ sys.dont_write_bytecode = True
 src, root, out_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 jobs, instances = json.loads(sys.argv[4]), json.loads(sys.argv[5])
 import affinepr.harness as harness
+import affinepr.lemmas as lemmas
 from affinepr import regenerate_instance
 if not os.path.abspath(harness.__file__).startswith(os.path.abspath(src) + os.sep):
     raise SystemExit(f"imported affinepr from {harness.__file__}, not from {src}")
@@ -308,6 +311,13 @@ def estimating(sample):
                          + b"".join(a.tobytes() for pair in witnesses for a in pair))
         return est
     return wrapped
+moments = []  # repr of each moment_bound_check result of the current job
+def checking(check):
+    def wrapped(*args, **kwargs):
+        result = check(*args, **kwargs)
+        moments.append(repr(result).encode())
+        return result
+    return wrapped
 cells = []  # (m, k, epsilon, flags) of each grid cell the current job runs
 def flagging(run_cell):
     def wrapped(config, m, k, epsilon):
@@ -316,12 +326,13 @@ def flagging(run_cell):
         return cell, trials
     return wrapped
 # The harness calls the solvers, the samplers and run_cell through its own
-# namespace.
+# namespace; the lemma suite imports the lemma checkers on each call.
 harness.solve_affine_pr_real = recording(harness.solve_affine_pr_real)
 harness.solve_affine_pr_complex = recording(harness.solve_affine_pr_complex)
 harness.srip_profile = estimating(harness.srip_profile)
 harness.rip_ratio_sample = estimating(harness.rip_ratio_sample)
 harness.run_cell = flagging(harness.run_cell)
+lemmas.moment_bound_check = checking(lemmas.moment_bound_check)
 run = {
     "phase_grid": harness.run_phase_grid,
     "noise_curve": harness.run_noise_curve,
@@ -336,12 +347,15 @@ for name, cfg in jobs:
     config = harness.ExperimentConfig.from_dict(dict(cfg, output_path=path))
     solves.clear()
     estimates.clear()
+    moments.clear()
     cells.clear()
     run[config.experiment](config)
     with open(path, "rb") as fh:
         digests[name] = hashlib.sha256(fh.read()).hexdigest()
     if estimates:
         digests[f"{name} estimates"] = hashlib.sha256(b"".join(estimates)).hexdigest()
+    if moments:
+        digests[f"{name} moments"] = hashlib.sha256(b"\n".join(moments)).hexdigest()
     for kind, m in sorted(solves):
         digests[f"{name} {kind} m={m}"] = hashlib.sha256(b"".join(solves[kind, m])).hexdigest()
     for m, k, epsilon, bits in cells:

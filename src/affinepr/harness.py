@@ -443,21 +443,21 @@ def run_lemma_suite(config: ExperimentConfig) -> dict:
     count = config.trials_per_cell
     master = SeedSpec(config.master_seed, ("lemma_suite",))
 
+    # Each case draws a dimension, k, theta and a normal row cut to its
+    # dimension; the cases of one dimension are decomposed in one batch.
     rng = master.child("decompose").rng()
+    dims = rng.integers(1, 33, count)
+    ks = rng.integers(1, dims + 1)
+    thetas = rng.uniform(0.1, 2.0, count)
+    rows = np.clip(rng.standard_normal((count, 32)), -thetas[:, None], thetas[:, None])
     decompose_failures = 0
-    for _ in range(count):
-        dim = int(rng.integers(1, 33))
-        k = int(rng.integers(1, dim + 1))
-        theta = float(rng.uniform(0.1, 2.0))
-        v = rng.standard_normal(dim)
-        v = np.clip(v, -theta, theta)
-        l1 = float(np.sum(np.abs(v)))
-        if l1 > k * theta:
-            v *= (k * theta / l1) * (1.0 - 1e-9)
-        try:
-            sparse_convex_decompose(v, k, theta)
-        except AssertionError:
-            decompose_failures += 1
+    for dim in np.unique(dims):
+        pick = dims == dim
+        k, theta, v = ks[pick], thetas[pick], rows[pick, :dim]
+        l1 = np.abs(v).sum(axis=1)
+        over = l1 > k * theta
+        v[over] *= ((k * theta / l1) * (1.0 - 1e-9))[over, None]
+        decompose_failures += sum(map(bool, sparse_convex_decompose(v, k, theta).flaws))
 
     rng = master.child("lifted").rng()
     u = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))

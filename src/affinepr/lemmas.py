@@ -4,16 +4,19 @@
   ||v||_1 <= k*theta as a convex combination of k-sparse atoms bounded by
   theta in sup norm and by ||v||_1 in l1 norm (Cai & Zhang's sparse
   representation of a polytope), in closed form by systematic sampling.
+  It decomposes a batch of vectors of one length in one pass of array
+  operations; a single vector is the batch of its one row.
 * ``lifted_distance_check`` evaluates the rank-one lifting inequality
   ||u u^H - v v^H||_F >= ||u|| ||u - v|| / sqrt(2) for phase-aligned pairs.
 * ``moment_bound_check`` verifies the two-sided expectation bounds on
-  |a^H H a + 2 Re(b a^H h)| for complex Gaussian a by Monte Carlo.
+  |a^H H a + 2 Re(b a^H h)| for complex Gaussian a by Monte Carlo, drawing
+  the real and imaginary parts of a's projections as two real arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,37 +36,79 @@ def _height_cap(theta: float) -> float:
 
 @dataclass
 class SparseDecomposition:
-    weights: list
-    atoms: list
-    k: int
-    theta: float
+    """Convex weights and the atoms (rows of ``atoms``) they combine.  A
+    batch has a leading row axis, pads each row with zero weights and zero
+    atoms, and gives row i's verdict ('' if it is valid) in ``flaws[i]``."""
+
+    weights: np.ndarray
+    atoms: np.ndarray
+    k: object
+    theta: object
+    flaws: list = field(default_factory=list)
+
+
+def _flaws(weights, atoms, V, k, theta) -> list:
+    """Per row, the first invariant that row's decomposition breaks, or ''."""
+    mags = np.abs(atoms)
+    cap = _height_cap(theta)[:, None]
+    l1_cap = (np.abs(V).sum(axis=1) * (1.0 + 1e-12) + 1e-15)[:, None]
+    recon = np.matmul(weights[:, None, :], atoms)[:, 0]
+    broken = {
+        "weights outside [0, 1]": ((weights < -1e-15) | (weights > 1.0 + 1e-12)).any(axis=1),
+        "weights do not sum to 1": np.abs(weights.sum(axis=1) - 1.0) > 1e-12,
+        "atom not k-sparse": (np.count_nonzero(atoms, axis=2) > k[:, None]).any(axis=1),
+        "atom exceeds sup-norm budget": (mags.max(axis=2, initial=0.0) > cap).any(axis=1),
+        "atom exceeds l1 budget": (mags.sum(axis=2) > l1_cap).any(axis=1),
+        "atoms do not reconstruct v": np.abs(recon - V).max(axis=1, initial=0.0) > 1e-10,
+    }
+    return [next((flaw for flaw, rows in broken.items() if rows[i]), "") for i in range(len(V))]
 
 
 def check_decomposition(dec: SparseDecomposition, v, k: int, theta: float) -> None:
     """Independent validator for decomposition invariants; raises on failure."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(dec.weights, dtype=np.float64)
-    if (w < -1e-15).any() or (w > 1.0 + 1e-12).any():
-        raise AssertionError("weights outside [0, 1]")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise AssertionError("weights do not sum to 1")
-    l1_v = float(np.abs(v).sum())
-    atoms = np.array(dec.atoms, dtype=np.float64, ndmin=2)
-    mags = np.abs(atoms)
-    if (np.count_nonzero(atoms, axis=1) > k).any():
-        raise AssertionError("atom not k-sparse")
-    if (mags.max(axis=1, initial=0.0) > _height_cap(theta)).any():
-        raise AssertionError("atom exceeds sup-norm budget")
-    if (mags.sum(axis=1) > l1_v * (1.0 + 1e-12) + 1e-15).any():
-        raise AssertionError("atom exceeds l1 budget")
-    recon = np.zeros_like(v)
-    for lam, atom in zip(w, atoms):
-        recon = recon + lam * atom
-    if float(np.abs(recon - v).max(initial=0.0)) > 1e-10:
-        raise AssertionError("atoms do not reconstruct v")
+    weights = np.array(dec.weights, dtype=np.float64, ndmin=2)
+    atoms = np.array(dec.atoms, dtype=np.float64, ndmin=3)
+    V = np.array(v, dtype=np.float64, ndmin=2)
+    flaw = _flaws(weights, atoms, V, np.array([k]), np.array([theta]))[0]
+    if flaw:
+        raise AssertionError(flaw)
 
 
-def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
+def _sample_atoms(V, k, theta):
+    """Weights (rows, dim) and atoms (rows, dim, dim) of rows with more than k
+    nonzeros by ``sparse_convex_decompose``'s closed form, each row's J, b, h
+    and ends as arrays; the entries before b have ends 0, and the segments
+    of zero width get zero weight and zero atoms."""
+    rows, dim = V.shape
+    mags = np.abs(V)
+    l1 = mags.sum(axis=1)
+    order = (-mags).argsort(axis=1, kind="stable")
+    w = np.take_along_axis(mags, order, axis=1)
+    J = np.minimum(np.ceil(l1 / theta).astype(np.int64), k)
+    idx = np.arange(dim)
+    tails = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]  # tails[:, i] = sum of w[:, i:]
+    b = ((w * (J[:, None] - idx) <= tails) & (idx < J[:, None])).argmax(axis=1)
+    # With b = 0 the height is l1 / J, which the precondition bounds by cap
+    # (J < k only when l1 / J <= theta); tails[:, 0] may round above l1.
+    h = np.where(b == 0, l1, tails[np.arange(rows), b]) / (J - b)
+    # Systematic sampling over the entries from b on; the clamps absorb
+    # rounding in the cumulative shares.
+    sampled = idx >= b[:, None]
+    ends = np.minimum(np.cumsum(np.where(sampled, w / h[:, None], 0.0), axis=1), (J - b)[:, None])
+    ends[:, -1] = J - b
+    starts = np.concatenate([np.zeros((rows, 1)), ends[:, :-1]], axis=1)
+    # ends[:, -1] % 1 == 0 is the left end.
+    cuts = np.sort(np.concatenate([ends % 1.0, np.ones((rows, 1))], axis=1), axis=1)
+    widths = np.diff(cuts, axis=1)
+    t = (cuts[:, :-1] + 0.5 * widths)[:, :, None]
+    hits = np.minimum(np.ceil(ends[:, None] - t) - np.ceil(starts[:, None] - t), 1.0)
+    sized = np.where(sampled[:, None], h[:, None, None] * hits, w[:, None])
+    sized = np.where((widths > 0.0)[:, :, None], sized, 0.0)
+    atoms = np.take_along_axis(sized, order.argsort(axis=1)[:, None], axis=2)
+    return np.where(widths > 0.0, widths, 0.0), atoms * np.where(V < 0, -1.0, 1.0)[:, None]
+
+
+def sparse_convex_decompose(v, k, theta) -> SparseDecomposition:
     """Decompose v into a convex combination of k-sparse bounded atoms.
 
     Requires ||v||_inf <= theta and ||v||_1 <= k*theta.  A v with at most k
@@ -79,54 +124,47 @@ def sparse_convex_decompose(v, k: int, theta: float) -> SparseDecomposition:
     takes the entries whose interval holds a point of t + Z.  The atom
     weights are the lengths of the t-intervals on which that set is
     constant, so there are at most nnz(v) atoms.
+
+    A batch decomposes the rows of a v of shape (rows, dim), with k and
+    theta of shape (rows,), and records each row's verdict in ``flaws``; a
+    single v is the batch of its one row, returns its atoms only, and
+    raises AssertionError if the validator rejects them.
     """
-    v = _checked("v", np.asarray(v, dtype=np.float64), (None,))
-    if not 0.0 < theta < math.inf:
-        raise ValueError("theta must be positive and finite")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mags = np.abs(v)
-    l1 = float(mags.sum())
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or (k < 1).any():
+        raise ValueError(f"k must be an integer >= 1, got {k.tolist()!r}")
+    V = _checked("v", np.asarray(v, dtype=np.float64), k.shape + (None,))
+    theta = _checked("theta", np.asarray(theta, dtype=np.float64), k.shape)
+    if not (theta > 0.0).all():
+        raise ValueError("theta must be positive")
+    single = V.ndim == 1
+    V, k, theta = np.atleast_2d(V), np.atleast_1d(k), np.atleast_1d(theta)
+    mags = np.abs(V)
     cap = _height_cap(theta)
-    if float(mags.max(initial=0.0)) > cap:
+    if (mags.max(axis=1, initial=0.0) > cap).any():
         raise ValueError("precondition ||v||_inf <= theta violated")
-    if l1 / k > cap:
+    if (mags.sum(axis=1) / k > cap).any():
         raise ValueError("precondition ||v||_1 <= k*theta violated")
-    if np.count_nonzero(v) <= k:
-        return SparseDecomposition(weights=[1.0], atoms=[v.copy()], k=k, theta=theta)
 
-    order = (-mags).argsort(kind="stable")
-    w = mags[order]
-    J = min(math.ceil(l1 / theta), k)
-    tails = np.cumsum(w[::-1])[::-1]  # tails[i] = sum of w[i:]
-    b = int(np.argmax(w[:J] * (J - np.arange(J)) <= tails[:J]))
-    # With b = 0 the height is l1 / J, which the precondition bounds by cap
-    # (J < k only when l1 / J <= theta); tails[0] may round above l1.
-    h = (l1 if b == 0 else float(tails[b])) / (J - b)
-    # Systematic sampling over the remaining entries; the clamps absorb
-    # rounding in the cumulative shares.
-    ends = np.minimum(np.cumsum(w[b:] / h), J - b)
-    ends[-1] = J - b
-    starts = np.concatenate(([0.0], ends[:-1]))
-    cuts = np.sort(np.append(ends % 1.0, 1.0))  # ends[-1] % 1 == 0 is the left end
-    widths = np.diff(cuts)
-    seg = widths > 0.0
-    t = (cuts[:-1] + 0.5 * widths)[seg][:, None]
-    hits = np.minimum(np.ceil(ends - t) - np.ceil(starts - t), 1.0)
-
-    atoms = np.empty((t.shape[0], v.size))
-    atoms[:, order[:b]] = w[:b]
-    atoms[:, order[b:]] = h * hits
-    atoms *= np.where(v < 0, -1.0, 1.0)
-    dec = SparseDecomposition(weights=list(widths[seg]), atoms=list(atoms), k=k, theta=theta)
-    check_decomposition(dec, v, k, theta)
+    rows, dim = V.shape
+    weights = np.zeros((rows, max(dim, 1)))
+    atoms = np.zeros((rows, max(dim, 1), dim))
+    weights[:, 0], atoms[:, 0] = 1.0, V
+    dense = np.count_nonzero(V, axis=1) > k
+    if dense.any():
+        weights[dense], atoms[dense] = _sample_atoms(V[dense], k[dense], theta[dense])
+    if not single:
+        return SparseDecomposition(weights, atoms, k, theta, _flaws(weights, atoms, V, k, theta))
+    keep = weights[0] > 0.0
+    dec = SparseDecomposition(weights[0][keep], atoms[0][keep], int(k[0]), float(theta[0]))
+    check_decomposition(dec, V[0], dec.k, dec.theta)
     return dec
 
 
 def phase_align(u, v) -> np.ndarray:
     """Rotate v by a global phase so that <u, v> is real and nonnegative."""
-    u = np.asarray(u)
-    v = np.asarray(v)
+    u = _checked("u", u, (None,))
+    v = _checked("v", v, u.shape)
     inner = complex(np.vdot(u, v))
     if inner == 0:
         return v.copy()
@@ -142,10 +180,8 @@ def lifted_distance_check(u, v) -> tuple[float, float, bool]:
     side uses the closed form ||u||^4 + ||v||^4 - 2|<u,v>|^2, avoiding the
     n x n outer products.
     """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError("u and v must have equal length")
+    u = _checked("u", u, (None,))
+    v = _checked("v", v, u.shape)
     inner = complex(np.vdot(u, v))
     scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
     if inner.real < -1e-12 * scale or abs(inner.imag) > 1e-12 * scale:
@@ -156,8 +192,8 @@ def lifted_distance_check(u, v) -> tuple[float, float, bool]:
 
 def batch_lifted_distance_check(U, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized lifted_distance_check over rows of pre-aligned U, V."""
-    U = np.asarray(U)
-    V = np.asarray(V)
+    U = _checked("U", U, (None, None))
+    V = _checked("V", V, U.shape)
     inner = np.sum(np.conj(U) * V, axis=1)
     nu2 = np.sum(np.abs(U) ** 2, axis=1)
     nv2 = np.sum(np.abs(V) ** 2, axis=1)
@@ -177,6 +213,16 @@ def moment_bounds(H, h, b) -> tuple[float, float]:
     lower = math.sqrt(frob2 + b2 * hn2) / 3.0
     upper = 2.0 * math.sqrt(3.0 * frob2 + b2 * hn2)
     return lower, upper
+
+
+def _moment_samples(re, im, lam, h_par, h_perp_norm, babs) -> np.ndarray:
+    """xi = lam_0 |g_0|^2 + lam_1 |g_1|^2 + 2|b| Re(conj(g) . (h_par, ||h_perp||))
+    for g = (re + i im) / sqrt(2), row by row, in real arithmetic:
+    |g|^2 = (re^2 + im^2) / 2 and Re(conj(g) c) = (re Re c + im Im c) / sqrt(2)."""
+    quad = (re[:, :2] ** 2 + im[:, :2] ** 2) @ np.array(lam) / 2.0
+    cross = re @ np.array([h_par[0].real, h_par[1].real, h_perp_norm])
+    cross += im[:, :2] @ np.array([h_par[0].imag, h_par[1].imag])
+    return quad + (2.0 * babs / math.sqrt(2.0)) * cross
 
 
 def moment_bound_check(
@@ -223,23 +269,10 @@ def moment_bound_check(
     chunk = 200_000
     while done < samples:
         cnt = min(chunk, samples - done)
-        g = (
-            rng.standard_normal((cnt, 3)) + 1j * rng.standard_normal((cnt, 3))
-        ) / math.sqrt(2.0)
-        xi = (
-            lam[0] * np.abs(g[:, 0]) ** 2
-            + lam[1] * np.abs(g[:, 1]) ** 2
-            + 2.0
-            * babs
-            * np.real(
-                np.conj(g[:, 0]) * h_par[0]
-                + np.conj(g[:, 1]) * h_par[1]
-                + np.conj(g[:, 2]) * h_perp_norm
-            )
-        )
-        a = np.abs(xi)
-        total += float(np.sum(a))
-        total_sq += float(np.sum(a**2))
+        re, im = rng.standard_normal((cnt, 3)), rng.standard_normal((cnt, 3))
+        xi = _moment_samples(re, im, lam, h_par, h_perp_norm, babs)
+        total += float(np.abs(xi).sum())
+        total_sq += float(xi @ xi)
         done += cnt
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)

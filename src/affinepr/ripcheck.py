@@ -12,11 +12,13 @@ Covers three objects:
 Estimates are reported as observed extremes with reproducible witnesses,
 never as certified bounds.
 
-Both samplers draw each trial from its own stream, then evaluate a block of
-up to ``_BLOCK`` trials per numpy call: a k-sparse vector is multiplied by
-its k support columns only, one gemv per trial through a stacked matmul,
-and norms are per-trial BLAS dots.  These are the calls a trial alone would
-make, so no result depends on the block size.
+Both samplers draw trials in blocks of ``_BLOCK``, each from one generator
+that draws all the block's numbers as arrays: trial t is row t mod
+``_BLOCK`` of block t // ``_BLOCK`` (see ``_blocks``), and a block is drawn
+whole, so no trial depends on the trial count.  A block is evaluated per
+numpy call: a k-sparse vector is multiplied by its k support columns only,
+one gemv per trial through a stacked matmul, and norms are per-trial BLAS
+dots, the calls a trial alone would make.
 """
 
 from __future__ import annotations
@@ -50,14 +52,28 @@ class RipEstimate:
         return self.upper_hat / self.lower_hat if self.lower_hat > 0 else math.inf
 
 
-def _trial_seeds(seed: SeedSpec, label: str, trials: int):
-    """The derived seeds of ``seed.child(label, t)`` for t = 0, 1, ...
+def _blocks(seed: SeedSpec, label: str, trials: int):
+    """(trials kept, generator) of each block of ``_BLOCK`` trials.
 
-    ``SeedSpec.derive`` mixes each label into the state with one splitmix64
-    step, so the shared prefix is derived once and each trial costs one step.
+    Block j's generator is seeded with one splitmix64 step of j over the
+    derived seed of ``seed.child(label)``.
     """
     state = seed.child(label).derive()
-    return (_splitmix64(state ^ t) for t in range(trials))
+    for j, start in enumerate(range(0, trials, _BLOCK)):
+        yield min(_BLOCK, trials - start), np.random.default_rng(_splitmix64(state ^ j))
+
+
+def _supports(rng, width: int, k: int) -> np.ndarray:
+    """A block's supports: the k smallest of each row of uniform keys over
+    range(width), so k distinct coordinates drawn uniformly per row."""
+    return np.argpartition(rng.random((_BLOCK, width)), k - 1, axis=1)[:, :k]
+
+
+def _normals(rng, shape, complex_field: bool) -> np.ndarray:
+    """Standard normals, with an independent imaginary part on the complex field."""
+    if complex_field:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape)
 
 
 def srip_extremes_for_x(A, x) -> tuple[float, float]:
@@ -115,16 +131,15 @@ def srip_profile(
     coordinate is always active on top of the k-sparse head, matching
     augmented matrices [A b] whose appended coordinate is unrestricted.
 
-    Per-trial streams are derived from ``seed`` (trial t reads the stream of
-    ``seed.child("srip", t)``), so extending ``trials`` under the same seed
-    only adds samples: the lower estimate is nonincreasing and the upper
-    nondecreasing in ``trials``.  Trial t reads, in order, its base support
-    and values, then for each side and swap a position, a rank among the
-    free coordinates and a value; no draw depends on an earlier swap's
-    outcome.  So each block of up to ``_BLOCK`` trials is drawn first and
-    then runs its greedy swaps in lockstep, one swap step for every trial
-    per numpy call.  The witness of each side is the first trial, in trial
-    order, that attains the extreme.
+    Trial t is row t mod ``_BLOCK`` of block t // ``_BLOCK`` of
+    ``seed.child("srip")`` (see ``_blocks``), so extending ``trials`` under
+    the same seed only adds samples: the lower estimate is nonincreasing
+    and the upper nondecreasing in ``trials``.  A block draws, in order, its base supports
+    (sorted), its base values, and for each side and swap a position, a rank
+    among the free coordinates and a value per trial; no draw depends on an
+    earlier swap's outcome.  The block then runs its greedy swaps in
+    lockstep, one swap step for every trial per numpy call.  The witness of
+    each side is the first trial, in trial order, that attains the extreme.
     """
     A = _checked("A", A, (None, None))
     if trials < 1:
@@ -138,39 +153,27 @@ def srip_profile(
     keep = math.ceil(m / 2)
     complex_field = np.iscomplexobj(A)
     # The head part of a support always holds k distinct coordinates.  With
-    # none left outside it there is no swap, and the rest of the stream is
-    # never read.
+    # none left outside it there is no swap, and a block draws no swap numbers.
     free = head - k
     swaps = refine_swaps // 2 if free else 0
     width = k + 1 if last_coord_free else k
 
-    def draw_values(rng, size):
-        if complex_field:
-            return rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return rng.standard_normal(size)
-
     best = [math.inf, -math.inf]
     witness = [None, None]
-    seeds = _trial_seeds(seed, "srip", trials)
     ranks = np.arange(k)
 
-    for start in range(0, trials, _BLOCK):
-        size = min(_BLOCK, trials - start)
+    for size, rng in _blocks(seed, "srip", trials):
         # Column k, when present, is the free last coordinate.
-        base_support = np.full((size, width), head)
-        base_values = np.empty((size, width), dtype=A.dtype)
-        swap_pos = np.empty((2, swaps, size), dtype=np.intp)
-        swap_rank = np.empty((2, swaps, size), dtype=np.intp)
-        swap_value = np.empty((2, swaps, size), dtype=A.dtype)
-        for i in range(size):
-            rng = np.random.default_rng(next(seeds))
-            base_support[i, :k] = np.sort(rng.choice(head, size=k, replace=False))
-            base_values[i] = draw_values(rng, width)
-            for side in range(2):
-                for s in range(swaps):
-                    swap_pos[side, s, i] = rng.integers(0, k)
-                    swap_rank[side, s, i] = rng.integers(0, free)
-                    swap_value[side, s, i] = draw_values(rng, 1)[0]
+        base_support = np.full((_BLOCK, width), head)
+        base_support[:, :k] = np.sort(_supports(rng, head, k), axis=1)
+        drawn = (
+            base_support,
+            _normals(rng, (_BLOCK, width), complex_field),
+            rng.integers(0, k, (_BLOCK, 2, swaps)),
+            rng.integers(0, free, (_BLOCK, 2, swaps)),
+            _normals(rng, (_BLOCK, 2, swaps), complex_field),
+        )
+        base_support, base_values, swap_pos, swap_rank, swap_value = (a[:size] for a in drawn)
 
         rows = np.arange(size)
         base_scores = _sparse_extremes(
@@ -183,12 +186,12 @@ def srip_profile(
                 # The r-th coordinate outside the support, counting upwards,
                 # is r plus the number of support coordinates below it: those
                 # with at most r free coordinates beneath them.
-                r = swap_rank[side, s]
+                r = swap_rank[:, side, s]
                 below = np.sort(support[:, :k], axis=1) - ranks <= r[:, None]
                 trial_support = support.copy()
-                trial_support[rows, swap_pos[side, s]] = r + np.count_nonzero(below, axis=1)
+                trial_support[rows, swap_pos[:, side, s]] = r + np.count_nonzero(below, axis=1)
                 trial_values = values.copy()
-                trial_values[rows, swap_pos[side, s]] = swap_value[side, s]
+                trial_values[rows, swap_pos[:, side, s]] = swap_value[:, side, s]
                 ax = _support_products(A, trial_support, trial_values)
                 cand = _sparse_extremes(ax, trial_values, keep)[side]
                 take = cand < score if lower else cand > score
@@ -273,12 +276,13 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
     the observed ratio extremes with witnesses.  Draws with ||H'||_F below
     1e-12 are skipped.
 
-    Trial t draws (shared flag, supports, values) from the stream of
-    ``seed.child("ripmap", t)``, one trial after another.  The ratios of a
-    block of up to ``_BLOCK`` trials are evaluated together from each draw's
-    support columns (see ``_ratios``), and each witness is the first trial,
-    in trial order, that attains its extreme, so neither the estimate nor
-    its witnesses depend on the block size.
+    Trial t is row t mod ``_BLOCK`` of block t // ``_BLOCK`` of
+    ``seed.child("ripmap")`` (see ``_blocks``).  A block draws, in order,
+    the shared flags, the supports of x, those of z (used where the flag is
+    clear), the values of x and those of z.  Its ratios are then evaluated
+    together from each draw's support columns (see ``_ratios``), and each
+    witness is the first trial, in trial order, that attains its extreme.
+    So extending ``trials`` under the same seed only adds samples.
     """
     A = _checked("A", A, (None, None))
     m, n = A.shape
@@ -290,31 +294,20 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
     complex_field = np.iscomplexobj(A)
     conj_b = np.conj(b)
 
-    def draw(rng, v, sup):
-        if complex_field:
-            v[sup] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        else:
-            v[sup] = rng.standard_normal(k)
-
     best_low = math.inf
     best_high = -math.inf
     wit_low = wit_high = None
     used = 0
-    seeds = _trial_seeds(seed, "ripmap", trials)
 
-    for start in range(0, trials, _BLOCK):
-        size = min(_BLOCK, trials - start)
-        X = np.zeros((size, n), dtype=A.dtype)
-        Z = np.zeros((size, n), dtype=A.dtype)
-        sup_x = np.empty((size, k), dtype=np.intp)
-        sup_z = np.empty((size, k), dtype=np.intp)
-        for i in range(size):
-            rng = np.random.default_rng(next(seeds))
-            shared = bool(rng.integers(0, 2))
-            sup_x[i] = rng.choice(n, size=k, replace=False)
-            sup_z[i] = sup_x[i] if shared else rng.choice(n, size=k, replace=False)
-            draw(rng, X[i], sup_x[i])
-            draw(rng, Z[i], sup_z[i])
+    for size, rng in _blocks(seed, "ripmap", trials):
+        shared = rng.random(_BLOCK) < 0.5
+        sup_x = _supports(rng, n, k)
+        sup_z = np.where(shared[:, None], sup_x, _supports(rng, n, k))
+        X = np.zeros((_BLOCK, n), dtype=A.dtype)
+        Z = np.zeros((_BLOCK, n), dtype=A.dtype)
+        np.put_along_axis(X, sup_x, _normals(rng, (_BLOCK, k), complex_field), axis=1)
+        np.put_along_axis(Z, sup_z, _normals(rng, (_BLOCK, k), complex_field), axis=1)
+        X, Z, sup_x, sup_z = X[:size], Z[:size], sup_x[:size], sup_z[:size]
         ratio, frob = _ratios(A, conj_b, X, Z, sup_x, sup_z)
         valid = frob >= 1e-12
         used += int(np.count_nonzero(valid))

@@ -84,6 +84,32 @@ _h3 = np.ones(3, dtype=complex)
             "h", lambda: moment_bound_check(_H2, np.array([1, np.inf, 0j]), 1.0, 1000, SeedSpec(5)), id="inf-h"
         ),
         pytest.param("b", lambda: moment_bound_check(_H2, _h3, math.nan, 1000, SeedSpec(5)), id="nan-b"),
+        pytest.param("k", lambda: sparse_convex_decompose(np.array([0.1, 0.2]), 2.5, 1.0), id="float-k"),
+        pytest.param("k", lambda: sparse_convex_decompose(np.array([0.1, 0.2]), True, 1.0), id="bool-k"),
+        pytest.param("k", lambda: sparse_convex_decompose(np.array([0.1, 0.2]), 0, 1.0), id="zero-k"),
+        pytest.param(
+            "theta", lambda: sparse_convex_decompose(np.array([0.1, 0.2]), 1, math.nan), id="nan-theta"
+        ),
+        pytest.param(
+            "theta", lambda: sparse_convex_decompose(np.array([0.1, 0.2]), 1, -1.0), id="negative-theta"
+        ),
+        pytest.param(
+            "v", lambda: sparse_convex_decompose(np.zeros((2, 3)), np.array([1, 1, 1]), np.ones(3)), id="batch-rows"
+        ),
+        pytest.param(
+            "theta", lambda: sparse_convex_decompose(np.zeros((2, 3)), np.array([1, 1]), 1.0), id="batch-theta"
+        ),
+        pytest.param("u", lambda: lifted_distance_check([1.0, math.nan], [1.0, 0.0]), id="nan-u"),
+        pytest.param("u", lambda: phase_align([1.0, math.nan], [1.0, 0.0]), id="phase_align-nan-u"),
+        pytest.param("v", lambda: phase_align([1.0, 0.0], [1.0, 0.0, 2.0]), id="phase_align-long-v"),
+        pytest.param("v", lambda: lifted_distance_check([1.0, 0.0], [1.0, 0.0, 0.0]), id="long-v"),
+        pytest.param("U", lambda: batch_lifted_distance_check(np.ones(3), np.ones(3)), id="1d-U"),
+        pytest.param(
+            "V", lambda: batch_lifted_distance_check(np.ones((2, 3)), np.ones((2, 4))), id="unequal-rows"
+        ),
+        pytest.param(
+            "V", lambda: batch_lifted_distance_check(np.ones((2, 3)), np.full((2, 3), np.inf)), id="inf-V"
+        ),
     ],
 )
 def test_lemma_checkers_reject_bad_inputs(name, call):
@@ -101,6 +127,72 @@ def test_lemma_checkers_reject_bad_inputs(name, call):
 def test_decompose_admissible_edge_inputs(v, k, theta):
     v = np.array(v)
     check_decomposition(sparse_convex_decompose(v, k, theta), v, k, theta)
+
+
+def criterion_9_inputs(count):
+    """(v, k, theta) drawn as tests/test_acceptance.py's criterion 9 draws them."""
+    rng = np.random.default_rng(20240809)
+    cases = []
+    for _ in range(count):
+        n = int(rng.integers(1, 33))
+        k = int(rng.integers(1, n + 1))
+        theta = float(rng.uniform(0.1, 2.0))
+        v = np.clip(rng.standard_normal(n) * theta, -theta, theta)
+        l1 = float(np.sum(np.abs(v)))
+        if l1 > k * theta:
+            v *= (k * theta / l1) * (1 - 1e-9)
+        cases.append((v, k, theta))
+    return cases
+
+
+EDGE_INPUTS = [([2.0, 2.0, 1e-16, 0.5], 3, 2.0), ([1.0, 1e-12, 1.0], 1, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(criterion_9_inputs(3000), id="criterion-9"),
+        pytest.param([(np.array(v), k, theta) for v, k, theta in EDGE_INPUTS], id="edge"),
+    ],
+)
+def test_batch_and_single_decompositions_are_byte_equal(cases):
+    # A batch of rows of one length must give each row the weights and
+    # atoms (in order, padding dropped) that the row alone gets.
+    by_dim = {}
+    for case in cases:
+        by_dim.setdefault(case[0].size, []).append(case)
+    checked = 0
+    for group in by_dim.values():
+        V = np.array([v for v, _, _ in group])
+        k = np.array([k for _, k, _ in group])
+        theta = np.array([theta for _, _, theta in group])
+        dec = sparse_convex_decompose(V, k, theta)
+        assert dec.flaws == [""] * len(group)
+        for i, (v, k_i, theta_i) in enumerate(group):
+            one = sparse_convex_decompose(v, k_i, theta_i)
+            used = dec.weights[i] > 0.0
+            assert dec.weights[i][used].tobytes() == one.weights.tobytes()
+            assert dec.atoms[i][used].tobytes() == one.atoms.tobytes()
+            assert not dec.atoms[i][~used].any()
+            checked += 1
+    assert checked == len(cases)
+
+
+def test_batch_decomposition_reports_each_rows_flaw(monkeypatch):
+    # A batch records the validator's verdict per row instead of raising.
+    from affinepr import lemmas
+
+    sample = lemmas._sample_atoms
+
+    def spoil_row_1(V, k, theta):
+        weights, atoms = sample(V, k, theta)
+        atoms[1, 0] *= 2.0
+        return weights, atoms
+
+    monkeypatch.setattr(lemmas, "_sample_atoms", spoil_row_1)
+    V = np.array([[0.5, 0.5, 0.5], [0.4, 0.3, 0.2], [0.1, 0.2, 0.3]])
+    dec = sparse_convex_decompose(V, np.array([1, 1, 1]), np.full(3, 2.0))
+    assert [bool(f) for f in dec.flaws] == [False, True, False]
 
 
 def test_decompose_random_sweep():
@@ -307,3 +399,32 @@ def test_decompose_accepts_the_whole_collar_and_nothing_above():
             sparse_convex_decompose(vector(np.nextafter(scale, np.inf)), k, theta)
         checked += 1
     assert checked > 1500
+
+
+def test_moment_samples_match_the_complex_formula():
+    # xi in real arithmetic against the complex formula it replaces, on the
+    # same two standard-normal draws.
+    from affinepr.lemmas import _moment_samples
+
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        re, im = rng.standard_normal((5000, 3)), rng.standard_normal((5000, 3))
+        lam = list(rng.standard_normal(2) * 2)
+        h_par = [complex(*rng.standard_normal(2)) for _ in range(2)]
+        h_perp_norm = float(abs(rng.standard_normal()))
+        babs = float(abs(rng.standard_normal()))
+        g = (re + 1j * im) / math.sqrt(2.0)
+        want = (
+            lam[0] * np.abs(g[:, 0]) ** 2
+            + lam[1] * np.abs(g[:, 1]) ** 2
+            + 2.0
+            * babs
+            * np.real(np.conj(g[:, 0]) * h_par[0] + np.conj(g[:, 1]) * h_par[1] + np.conj(g[:, 2]) * h_perp_norm)
+        )
+        got = _moment_samples(re, im, lam, h_par, h_perp_norm, babs)
+        # Relative to the size of the terms, since single samples may cancel.
+        scale = np.abs(lam).sum() * np.abs(g[:, :2]).max() ** 2 + 2.0 * babs * np.abs(g).max() * (
+            sum(abs(c) for c in h_par) + h_perp_norm
+        )
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        assert np.abs(got).mean() == pytest.approx(np.abs(want).mean(), rel=1e-12)

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from affinepr.rng import _splitmix64
 from affinepr import (
     SeedSpec,
     crossterm_sup,
@@ -209,16 +210,27 @@ def test_crossterm_concentration_rate():
 # Straightforward loops that srip_profile and rip_ratio_sample must agree with.
 
 
-def reference_srip_profile(A, k, trials, seed, last_coord_free=False, refine_swaps=50):
-    """One stream per trial, a setdiff1d candidate list per swap."""
+def block_generators(seed, label, trials, block):
+    """The generator of each block of ``block`` trials, as both samplers seed them."""
+    state = seed.child(label).derive()
+    return [np.random.default_rng(_splitmix64(state ^ j)) for j in range(-(-trials // block))]
+
+
+def normals(rng, shape, complex_field):
+    if complex_field:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape)
+
+
+def reference_srip_profile(A, k, trials, seed, last_coord_free=False, refine_swaps=50, block=64):
+    """Each block's numbers drawn whole, then one trial at a time: a sorted
+    argsort of the keys for the support, a setdiff1d candidate list per
+    swap, and the dense A[:, S] @ v per candidate."""
     m, n = A.shape
     head = n - 1 if last_coord_free else n
     keep = math.ceil(m / 2)
-
-    def draw_values(rng, size):
-        if np.iscomplexobj(A):
-            return rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return rng.standard_normal(size)
+    swaps = refine_swaps // 2 if head > k else 0
+    cplx = np.iscomplexobj(A)
 
     def extremes(support, values):
         sq = np.abs(A[:, support] @ values) ** 2
@@ -229,24 +241,26 @@ def reference_srip_profile(A, k, trials, seed, last_coord_free=False, refine_swa
     best = [math.inf, -math.inf]
     wit = [None, None]
     for t in range(trials):
-        rng = seed.child("srip", t).rng()
-        base_support = np.sort(rng.choice(head, size=k, replace=False))
+        i = t % block
+        if i == 0:
+            rng = block_generators(seed, "srip", trials, block)[t // block]
+            keys = rng.random((block, head))
+            base_values = normals(rng, (block, k + last_coord_free), cplx)
+            swap_pos = rng.integers(0, k, (block, 2, swaps))
+            swap_rank = rng.integers(0, head - k, (block, 2, swaps))
+            swap_value = normals(rng, (block, 2, swaps), cplx)
+        base_support = np.sort(np.argsort(keys[i])[:k])
         if last_coord_free:
             base_support = np.append(base_support, head)
-        base_values = draw_values(rng, base_support.size)
         for side in (0, 1):
-            support, values = base_support.copy(), base_values.copy()
+            support, values = base_support.copy(), base_values[i].copy()
             score = extremes(support, values)[side]
-            for _ in range(refine_swaps // 2):
-                swap_pos = int(rng.integers(0, k))
+            for s in range(swaps):
                 candidates = np.setdiff1d(np.arange(head), support[:k])
-                if candidates.size == 0:
-                    break
-                new_idx = int(candidates[rng.integers(0, candidates.size)])
                 trial_support = support.copy()
-                trial_support[swap_pos] = new_idx
+                trial_support[swap_pos[i, side, s]] = candidates[swap_rank[i, side, s]]
                 trial_values = values.copy()
-                trial_values[swap_pos] = draw_values(rng, 1)[0]
+                trial_values[swap_pos[i, side, s]] = swap_value[i, side, s]
                 cand = extremes(trial_support, trial_values)[side]
                 if (cand < score) if side == 0 else (cand > score):
                     support, values, score = trial_support, trial_values, cand
@@ -257,28 +271,33 @@ def reference_srip_profile(A, k, trials, seed, last_coord_free=False, refine_swa
     return best, wit
 
 
-def reference_rip_ratio_sample(A, b, k, trials, seed):
-    """One stream per trial; A x and A z from the k support columns each."""
+def reference_rip_ratio_sample(A, b, k, trials, seed, block=64):
+    """Each block's numbers drawn whole, then one trial at a time; A x and
+    A z from the k support columns each."""
     m, n = A.shape
+    cplx = np.iscomplexobj(A)
     best = [math.inf, -math.inf]
     wit = [None, None]
     used = 0
     for t in range(trials):
-        rng = seed.child("ripmap", t).rng()
-        shared = bool(rng.integers(0, 2))
-        sup_x = rng.choice(n, size=k, replace=False)
-        sup_z = sup_x if shared else rng.choice(n, size=k, replace=False)
+        i = t % block
+        if i == 0:
+            rng = block_generators(seed, "ripmap", trials, block)[t // block]
+            shared = rng.random(block) < 0.5
+            keys_x = rng.random((block, n))
+            keys_z = rng.random((block, n))
+            values_x = normals(rng, (block, k), cplx)
+            values_z = normals(rng, (block, k), cplx)
+        sup_x = np.argpartition(keys_x[i], k - 1)[:k]
+        sup_z = sup_x if shared[i] else np.argpartition(keys_z[i], k - 1)[:k]
         x = np.zeros(n, dtype=A.dtype)
         z = np.zeros(n, dtype=A.dtype)
-        for v, sup in ((x, sup_x), (z, sup_z)):
-            if np.iscomplexobj(A):
-                v[sup] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            else:
-                v[sup] = rng.standard_normal(k)
+        x[sup_x] = values_x[i]
+        z[sup_z] = values_z[i]
         h = x - z
         ax, az = A[:, sup_x] @ x[sup_x], A[:, sup_z] @ z[sup_z]
         vals = np.abs(ax) ** 2 - np.abs(az) ** 2 + 2.0 * np.real(np.conj(b) * (ax - az))
-        xz = abs(complex(np.vdot(x, z))) ** 2
+        xz = np.abs(np.vdot(x, z)) ** 2
         frob2 = np.vdot(x, x).real ** 2 + np.vdot(z, z).real ** 2 - 2.0 * xz + 2.0 * np.vdot(h, h).real
         if frob2 <= 0 or math.sqrt(frob2) < 1e-12:
             continue
@@ -303,17 +322,18 @@ def reference_rip_ratio_sample(A, b, k, trials, seed):
 )
 def test_srip_profile_matches_reference_loop(monkeypatch, field, m, n, k, last_coord_free):
     # 130 trials run as three blocks of the default size and as 19 of 7; the
-    # lockstep swaps must give the reference loop's extremes and witness bytes.
+    # lockstep swaps must give the reference loop's extremes and witness
+    # bytes for the streams that block size defines.
     from affinepr import ripcheck
 
     gen = gen_real_gaussian_matrix if field == "real" else gen_complex_gaussian_matrix
     A = gen(m, n, SeedSpec(60, (field, m, n)))
     seed = SeedSpec(61, (field, k))
-    (low, high), (wit_low, wit_high) = reference_srip_profile(
-        A, k, 130, seed, last_coord_free=last_coord_free, refine_swaps=12
-    )
     for block in (ripcheck._BLOCK, 7):
         monkeypatch.setattr(ripcheck, "_BLOCK", block)
+        (low, high), (wit_low, wit_high) = reference_srip_profile(
+            A, k, 130, seed, last_coord_free=last_coord_free, refine_swaps=12, block=block
+        )
         est = srip_profile(A, k, 130, seed, last_coord_free=last_coord_free, refine_swaps=12)
         assert (est.lower_hat, est.upper_hat) == (low, high)
         assert est.witness_lower.tobytes() == wit_low.tobytes()
@@ -321,7 +341,9 @@ def test_srip_profile_matches_reference_loop(monkeypatch, field, m, n, k, last_c
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_rip_ratio_sample_matches_reference_loop(field):
+def test_rip_ratio_sample_matches_reference_loop(monkeypatch, field):
+    from affinepr import ripcheck
+
     m, n, k, trials = 40, 12, 2, 150  # 150 trials: two full blocks and a partial one
     seed = SeedSpec(62, (field,))
     if field == "real":
@@ -330,12 +352,14 @@ def test_rip_ratio_sample_matches_reference_loop(field):
     else:
         ens = make_ensemble("complex", m, n, seed.child("A"))
         A, b = ens.A, ens.b
-    est = rip_ratio_sample(A, b, k, trials, seed)
-    (low, high), (wit_low, wit_high), used = reference_rip_ratio_sample(A, b, k, trials, seed)
-    assert est.samples == used == trials
-    assert (est.lower_hat, est.upper_hat) == (low, high)
-    for got, want in ((est.witness_lower, wit_low), (est.witness_upper, wit_high)):
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for block in (ripcheck._BLOCK, 7):
+        monkeypatch.setattr(ripcheck, "_BLOCK", block)
+        est = rip_ratio_sample(A, b, k, trials, seed)
+        (low, high), (wit_low, wit_high), used = reference_rip_ratio_sample(A, b, k, trials, seed, block)
+        assert est.samples == used == trials
+        assert (est.lower_hat, est.upper_hat) == (low, high)
+        for got, want in ((est.witness_lower, wit_low), (est.witness_upper, wit_high)):
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def _bad_inputs():
@@ -449,3 +473,31 @@ def test_rip_ratio_sample_trial_ratios_do_not_depend_on_trial_count(monkeypatch)
         assert runs[trials].size == trials
     for trials, ratios in runs.items():
         assert ratios.tobytes() == runs[130][:trials].tobytes()
+
+
+def test_srip_profile_trial_scores_do_not_depend_on_trial_count(monkeypatch):
+    # Every score of every trial (base vector, then each swap candidate on
+    # each side) must be the same whether the run stops inside, at or past
+    # the end of a block.
+    from affinepr import ripcheck
+
+    A = gen_real_gaussian_matrix(20, 12, SeedSpec(72))
+    runs = {}
+    for trials in (63, 64, 65, 130):
+        calls = []
+        evaluate = ripcheck._sparse_extremes
+
+        def recording(ax, values, keep):
+            out = evaluate(ax, values, keep)
+            calls.append(np.stack(out))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ripcheck, "_sparse_extremes", recording)
+            srip_profile(A, 2, trials, SeedSpec(73), refine_swaps=10)
+        per_block = 1 + 2 * 5  # the base vectors, then 5 swap steps per side
+        blocks = [np.stack(calls[i : i + per_block], axis=1) for i in range(0, len(calls), per_block)]
+        runs[trials] = np.concatenate(blocks, axis=2)
+        assert runs[trials].shape == (2, per_block, trials)
+    for trials, scores in runs.items():
+        assert scores.tobytes() == np.ascontiguousarray(runs[130][:, :, :trials]).tobytes()
