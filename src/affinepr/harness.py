@@ -44,7 +44,6 @@ EXPERIMENTS = (
 # CSV columns of a grid cell after its (m, k) or epsilon; all are keys of cell_to_json.
 _CELL_COLUMNS = ("trials", "successes", "wilson_lo", "wilson_hi", "median_err", "median_phase_err")
 
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 _SUCCESS_TOL = 1e-5  # success: relative error, or global-phase error / (1 + ||x0||) if complex
 
 
@@ -143,9 +142,11 @@ class TrialResult:
     success: bool
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval of a success rate."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

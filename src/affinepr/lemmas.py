@@ -182,21 +182,20 @@ def lifted_distance_check(u, v) -> tuple[float, float, bool]:
     """
     u = _checked("u", u, (None,))
     v = _checked("v", v, u.shape)
-    inner = complex(np.vdot(u, v))
-    scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
-    if inner.real < -1e-12 * scale or abs(inner.imag) > 1e-12 * scale:
-        raise ValueError("precondition <u, v> >= 0 violated; phase-align first")
     lhs, rhs, holds = batch_lifted_distance_check(u[None], v[None])
     return float(lhs[0]), float(rhs[0]), bool(holds[0])
 
 
 def batch_lifted_distance_check(U, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized lifted_distance_check over rows of pre-aligned U, V."""
+    """Vectorized lifted_distance_check over rows of U, V, each pair phase-aligned."""
     U = _checked("U", U, (None, None))
     V = _checked("V", V, U.shape)
     inner = np.sum(np.conj(U) * V, axis=1)
     nu2 = np.sum(np.abs(U) ** 2, axis=1)
     nv2 = np.sum(np.abs(V) ** 2, axis=1)
+    collar = 1e-12 * np.maximum(1.0, np.sqrt(nu2 * nv2))
+    if ((inner.real < -collar) | (np.abs(inner.imag) > collar)).any():
+        raise ValueError("precondition <u, v> >= 0 violated; phase-align first")
     lhs = np.sqrt(np.maximum(nu2**2 + nv2**2 - 2.0 * np.abs(inner) ** 2, 0.0))
     rhs = np.sqrt(nu2) * np.sqrt(np.sum(np.abs(U - V) ** 2, axis=1)) / math.sqrt(2.0)
     holds = lhs >= rhs - 1e-9 * np.maximum.reduce([np.ones_like(nu2), nu2, nv2])
@@ -205,8 +204,10 @@ def batch_lifted_distance_check(U, V) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def moment_bounds(H, h, b) -> tuple[float, float]:
     """Closed-form lower/upper bounds on E|a^H H a + 2 Re(b a^H h)|."""
-    H = np.asarray(H)
-    h = np.asarray(h)
+    h = _checked("h", h, (None,))
+    H = _checked("H", H, (h.size, h.size))
+    if not math.isfinite(abs(b)):
+        raise ValueError("b must be finite")
     frob2 = float(np.real(np.sum(np.abs(H) ** 2)))
     hn2 = float(np.real(np.vdot(h, h)))
     b2 = abs(b) ** 2
@@ -232,30 +233,27 @@ def moment_bound_check(
 
     ``a`` is a standard complex Gaussian vector (E|a_i|^2 = 1).  Returns
     (mc_mean, lower, upper, holds_ci) where holds_ci allows a 5-sigma
-    confidence radius on both sides.  The bias enters through |b|; H must
-    be Hermitian with rank <= 2 (third singular value below 1e-8).
+    confidence radius on both sides.  The bias enters through |b|; H must be
+    Hermitian with rank <= 2 (third |eigenvalue| at most 1e-8 max(1, |largest|)).
     """
-    h = _checked("h", np.asarray(h, dtype=np.complex128), (None,))
-    n = h.size
-    H = _checked("H", np.asarray(H, dtype=np.complex128), (n, n))
-    if not math.isfinite(abs(b)):
-        raise ValueError("b must be finite")
+    h = np.asarray(h, dtype=np.complex128)
+    H = np.asarray(H, dtype=np.complex128)
+    lower, upper = moment_bounds(H, h, b)
     if samples < 1000:
         raise ValueError("need at least 1e3 samples")
     if float(np.max(np.abs(H - H.conj().T), initial=0.0)) > 1e-10 * max(
         1.0, float(np.max(np.abs(H), initial=0.0))
     ):
         raise ValueError("H must be Hermitian")
-    svals = np.linalg.svd(H, compute_uv=False)
-    if n > 2 and svals[2] > 1e-8 * max(1.0, svals[0]):
-        raise ValueError("rank(H) must be <= 2")
     babs = abs(b)
-    lower, upper = moment_bounds(H, h, babs)
 
     # Reduce to the eigenbasis of H so each sample costs O(1) after an
     # (samples x 3) Gaussian projection.
     evals, evecs = np.linalg.eigh(H)
-    idx = list(np.argsort(-np.abs(evals))[:2])
+    order = np.argsort(-np.abs(evals))
+    if order.size > 2 and abs(evals[order[2]]) > 1e-8 * max(1.0, abs(evals[order[0]])):
+        raise ValueError("rank(H) must be <= 2")
+    idx = list(order[:2])
     lam = [float(evals[i]) for i in idx] + [0.0] * (2 - len(idx))
     basis = [evecs[:, i] for i in idx]
     h_par = [complex(np.vdot(u, h)) for u in basis] + [0j] * (2 - len(idx))

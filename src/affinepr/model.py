@@ -197,13 +197,13 @@ def _phase_objective(theta, nx2, n02, s):
     return np.sqrt(d2) + 2.0 * np.abs(np.sin(theta / 2.0))
 
 
-def _golden_min(f, lo, hi, tol=1e-10):
+def _golden_min(f, lo, hi):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > 1e-10:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -215,7 +215,7 @@ def _golden_min(f, lo, hi, tol=1e-10):
     return (a + b) / 2.0
 
 
-def global_phase_error(xhat, x0, grid: int = 2048) -> float:
+def global_phase_error(xhat, x0) -> float:
     """min over theta of ||xhat - e^{i theta} x0||_2 + |1 - e^{i theta}|.
 
     Coarse grid over [0, 2pi) followed by golden-section refinement around
@@ -232,6 +232,7 @@ def global_phase_error(xhat, x0, grid: int = 2048) -> float:
     nx2 = float(np.real(np.vdot(xhat, xhat)))
     n02 = float(np.real(np.vdot(x0, x0)))
     s = complex(np.vdot(x0, xhat))
+    grid = 2048
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     vals = _phase_objective(thetas, nx2, n02, s)
     i = int(np.argmin(vals))

@@ -35,6 +35,10 @@ from .rng import SeedSpec, _splitmix64
 # the block, few enough that a block's gathered support columns (64 x k x m)
 # stay near a megabyte.
 _BLOCK = 64
+# Greedy coordinate swaps per srip trial, half for each extreme.
+_REFINE_SWAPS = 50
+# Draws with ||H'||_F below this are degenerate: their ratio is rounding noise.
+_MIN_FROB = 1e-12
 
 
 @dataclass
@@ -119,12 +123,11 @@ def srip_profile(
     trials: int,
     seed: SeedSpec,
     last_coord_free: bool = False,
-    refine_swaps: int = 50,
 ) -> RipEstimate:
     """Monte Carlo profile of the strong-RIP extremes over unit k-sparse x.
 
     Each trial draws a Gaussian-amplitude k-sparse vector and then greedily
-    tries coordinate swaps (up to ``refine_swaps``, split between pushing
+    tries coordinate swaps (``_REFINE_SWAPS`` = 50, split between pushing
     the lower extreme down and the upper extreme up).  A swap moves one
     support position to a coordinate drawn uniformly from the ``head - k``
     coordinates outside the support.  With ``last_coord_free`` the final
@@ -144,8 +147,6 @@ def srip_profile(
     A = _checked("A", A, (None, None))
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if refine_swaps < 0:
-        raise ValueError("refine_swaps must be >= 0")
     m, n = A.shape
     head = n - 1 if last_coord_free else n
     if not 1 <= k <= head:
@@ -155,7 +156,7 @@ def srip_profile(
     # The head part of a support always holds k distinct coordinates.  With
     # none left outside it there is no swap, and a block draws no swap numbers.
     free = head - k
-    swaps = refine_swaps // 2 if free else 0
+    swaps = _REFINE_SWAPS // 2 if free else 0
     width = k + 1 if last_coord_free else k
 
     best = [math.inf, -math.inf]
@@ -210,12 +211,7 @@ def srip_profile(
         samples=trials,
         witness_lower=witness[0],
         witness_upper=witness[1],
-        config={
-            "k": k,
-            "subset_fraction": 0.5,
-            "last_coord_free": last_coord_free,
-            "refine_swaps": refine_swaps,
-        },
+        config={"k": k, "subset_fraction": 0.5, "last_coord_free": last_coord_free},
     )
 
 
@@ -274,7 +270,7 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
     Draws k-sparse x and z with both shared and disjoint supports, forms
     the rank <= 2 difference H = x x^H - z z^H with h = x - z, and records
     the observed ratio extremes with witnesses.  Draws with ||H'||_F below
-    1e-12 are skipped.
+    ``_MIN_FROB`` are skipped.
 
     Trial t is row t mod ``_BLOCK`` of block t // ``_BLOCK`` of
     ``seed.child("ripmap")`` (see ``_blocks``).  A block draws, in order,
@@ -309,7 +305,7 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
         np.put_along_axis(Z, sup_z, _normals(rng, (_BLOCK, k), complex_field), axis=1)
         X, Z, sup_x, sup_z = X[:size], Z[:size], sup_x[:size], sup_z[:size]
         ratio, frob = _ratios(A, conj_b, X, Z, sup_x, sup_z)
-        valid = frob >= 1e-12
+        valid = frob >= _MIN_FROB
         used += int(np.count_nonzero(valid))
         low = int(np.argmin(np.where(valid, ratio, math.inf)))
         if valid[low] and ratio[low] < best_low:
@@ -340,7 +336,7 @@ def structured_ratio(A, b, x, z) -> float:
     ratio, frob = _ratios(
         A, np.conj(b), x[None], z[None], np.flatnonzero(x)[None], np.flatnonzero(z)[None]
     )
-    if frob[0] < 1e-12:
+    if frob[0] < _MIN_FROB:
         raise ValueError("degenerate witness")
     return float(ratio[0])
 

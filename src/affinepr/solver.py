@@ -65,11 +65,11 @@ from .rng import SeedSpec
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Settings of one solve, and the keys of the JSON ``solver`` config.
+    """Settings of one solve, and the keys of the JSON ``solver`` config.  The
+    outer steps per restart chain (``_OUTER_MAX`` = 100) are fixed.
 
-    outer_max: outer sign/phase steps per restart chain.
     inner_max: cap on the real lasso path's steps or the complex ADMM iterations of a
-        full BPDN call; outer steps cap at 600, flip probes at 300.
+        full BPDN call; outer steps cap at 600 (``_OUTER_CAP``), flip probes at 300.
     inner_tol: complex ADMM tolerance on the residuals, relative to 1 + ||c||.
     restarts: most chains: the bias anchor, the anchor on a slower homotopy, then random
         patterns; a noiseless real solve with rank(A) = n < m stops at the first exact fit.
@@ -78,7 +78,6 @@ class SolverOptions:
     flip_candidates: lowest-margin sign flips a real solve retries; 0 skips flip descent.
     """
 
-    outer_max: int = 100
     inner_max: int = 2000
     inner_tol: float = 1e-9
     restarts: int = 10
@@ -87,7 +86,7 @@ class SolverOptions:
     flip_candidates: int = 6
 
     def __post_init__(self):
-        if min(self.outer_max, self.inner_max, self.restarts) < 1:
+        if min(self.inner_max, self.restarts) < 1:
             raise ValueError("iteration and restart counts must be >= 1")
         if self.inner_tol <= 0:
             raise ValueError("inner_tol must be positive")
@@ -152,6 +151,10 @@ def _project_ball(v: np.ndarray, center: np.ndarray, radius: float) -> np.ndarra
 
 _ADAPT_PERIOD = 10
 _ADAPT_FREEZE = 1000  # rho changes after this iteration can cycle; freeze instead
+
+_OUTER_MAX = 100  # outer sign/phase steps per restart chain
+_OUTER_CAP, _PROBE_CAP = 600, 300  # inner caps of outer steps, flip probes; perfbench keys on them
+_FIT_TOL = 1e-9  # an exact fit's residual tolerance, relative to 1 + ||c||
 
 
 class _Svd(NamedTuple):
@@ -310,11 +313,11 @@ def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
 
 
 def _direct(D, c, svd: _Svd) -> BpdnResult:
-    """D^+ c for rank(D) = n, converged only if its residual is within 1e-9 (1 + ||c||)."""
+    """D^+ c for rank(D) = n, converged only if its residual is within _FIT_TOL (1 + ||c||)."""
     U, s, Vh = svd
     x = Vh.conj().T @ ((U.conj().T @ c) / s)
     primal = float(np.linalg.norm(D @ x - c))
-    return BpdnResult(x, 0, primal <= 1e-9 * (1.0 + float(np.linalg.norm(c))))
+    return BpdnResult(x, 0, primal <= _FIT_TOL * (1.0 + float(np.linalg.norm(c))))
 
 
 def bpdn(
@@ -325,10 +328,10 @@ def bpdn(
     The path depends only on epsilon, the field and rank(D):
 
     * epsilon = 0 and rank(D) = n: direct.  The result is D^+ c after zero
-      iterations, converged only if its residual is within 1e-9 (1 + ||c||).
+      iterations, converged only if its residual is within _FIT_TOL (1 + ||c||).
     * other real D: the exact lasso path (``_bp_homotopy``), capped at
       ``opts.inner_max`` steps.  Converged only if a dual vector certifies
-      the result and its residual is within epsilon + 1e-9 (1 + ||c||).
+      the result and its residual is within epsilon + _FIT_TOL (1 + ||c||).
       With epsilon = 0 the path runs on the whitened rows V^H x = S^-1 U^H c.
       With epsilon > 0 it runs on the rows S V^H against U^H c and stops at
       residual epsilon; a projection residual ||c - U U^H c|| of at least
@@ -358,7 +361,7 @@ def bpdn(
     if epsilon == 0.0 and svd.s.size == n:
         return _direct(D, c, svd)
     U, s, Vh = svd
-    feas_tol = 1e-9 * (1.0 + cnorm)
+    feas_tol = _FIT_TOL * (1.0 + cnorm)
     proj = U.conj().T @ c
     if not np.iscomplexobj(D):
         if epsilon == 0.0:
@@ -549,7 +552,7 @@ def _run_restart(
     x, u, levels, certified = _homotopy_burn_in(
         A, b, y_target, u0, freeze_levels, schedule, svd, unique, floor
     )
-    capped = replace(opts, inner_max=min(600, opts.inner_max))
+    capped = replace(opts, inner_max=min(_OUTER_CAP, opts.inner_max))
     inner_total = 0
     trace = []
     termination = "max_outer"
@@ -559,7 +562,7 @@ def _run_restart(
     best_obj = math.inf
     since_best = 0
 
-    for _ in range(opts.outer_max):
+    for _ in range(_OUTER_MAX):
         c = u * y_target - b
         if certified is None:
             res = bpdn(A, c, epsilon, capped, x_init=x, svd=svd)
@@ -589,7 +592,7 @@ def _run_restart(
             since_best += 1
             if since_best >= 5:
                 break
-    if not res.converged:  # the last inner call; outer_max >= 1
+    if not res.converged:  # the last inner call
         termination = "infeasible_inner"
     return _RestartOutcome(x, inner_total, termination, trace, levels)
 
@@ -614,7 +617,7 @@ def _flip_descent(
     """
     if opts.flip_candidates == 0:
         return outcome
-    probe_opts = replace(opts, inner_max=min(300, opts.inner_max))
+    probe_opts = replace(opts, inner_max=min(_PROBE_CAP, opts.inner_max))
     x = outcome.xhat
     key = (_violation(outcome.feasibility, epsilon, scale), outcome.objective)
     v = A @ x + b
@@ -787,7 +790,7 @@ def solve_affine_pr_complex(
     return _solve(ensemble, y_or_ytilde, epsilon, opts, COMPLEX, "y_or_ytilde")
 
 
-def brute_force_bp_oracle(D, c, atol: float = 1e-9) -> tuple[float, np.ndarray]:
+def brute_force_bp_oracle(D, c) -> tuple[float, np.ndarray]:
     """Exact minimum of ||x||_1 s.t. D x = c by support enumeration.
 
     Real instances with n <= 8 and m <= n only.  Every optimal basic
@@ -802,7 +805,7 @@ def brute_force_bp_oracle(D, c, atol: float = 1e-9) -> tuple[float, np.ndarray]:
     m, n = D.shape
     if n > 8 or m > n:
         raise ValueError("oracle limited to n <= 8 and m <= n")
-    feas_tol = atol * (1.0 + float(np.linalg.norm(c)))
+    feas_tol = _FIT_TOL * (1.0 + float(np.linalg.norm(c)))
     best_obj = math.inf
     best_x = None
     if np.linalg.norm(c) <= feas_tol:

@@ -51,6 +51,7 @@ def test_config_rejects_unknown_keys():
         ("homotopy_shrink", 0.95),
         ("homotopy_steps", 10),
         ("trust_ratio", 0.5),
+        ("outer_max", 3),
     ],
 )
 def test_config_rejects_removed_solver_keys(key, value):
@@ -59,6 +60,13 @@ def test_config_rejects_removed_solver_keys(key, value):
         ExperimentConfig.from_dict({"experiment": "phase_grid", "solver": {key: value}})
     with pytest.raises(TypeError):
         SolverOptions(**{key: value})
+
+
+def test_solver_options_fields_are_pinned():
+    # Each field is a JSON ``solver`` key that every test and user can set; a
+    # new one has to be added here on purpose.
+    names = [f.name for f in dataclasses.fields(SolverOptions)]
+    assert names == ["inner_max", "inner_tol", "restarts", "mode", "restart_seed", "flip_candidates"]
 
 
 def test_config_validation_errors():

@@ -84,6 +84,10 @@ _h3 = np.ones(3, dtype=complex)
             "h", lambda: moment_bound_check(_H2, np.array([1, np.inf, 0j]), 1.0, 1000, SeedSpec(5)), id="inf-h"
         ),
         pytest.param("b", lambda: moment_bound_check(_H2, _h3, math.nan, 1000, SeedSpec(5)), id="nan-b"),
+        pytest.param("H", lambda: moment_bounds(np.full((2, 2), np.nan), np.ones(2), 1.0), id="bounds-nan-H"),
+        pytest.param("H", lambda: moment_bounds(np.eye(3), np.ones(5), 1.0), id="bounds-short-H"),
+        pytest.param("h", lambda: moment_bounds(np.eye(2), np.array([1.0, np.nan]), 1.0), id="bounds-nan-h"),
+        pytest.param("b", lambda: moment_bounds(np.eye(3), np.ones(3), math.inf), id="bounds-inf-b"),
         pytest.param("k", lambda: sparse_convex_decompose(np.array([0.1, 0.2]), 2.5, 1.0), id="float-k"),
         pytest.param("k", lambda: sparse_convex_decompose(np.array([0.1, 0.2]), True, 1.0), id="bool-k"),
         pytest.param("k", lambda: sparse_convex_decompose(np.array([0.1, 0.2]), 0, 1.0), id="zero-k"),
@@ -271,8 +275,14 @@ def test_lifted_distance_examples():
 
 def test_lifted_distance_precondition():
     u = np.array([1.0 + 0j, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phase-align"):
         lifted_distance_check(u, -u)
+    # The batch form checks every row: an unaligned pair is rejected, not
+    # counted as a violation of the inequality.
+    U = np.array([[1.0, 0.0], [1.0, 0.0]])
+    for second in ([-1.0, 0.0], [1j, 0.0]):
+        with pytest.raises(ValueError, match="phase-align"):
+            batch_lifted_distance_check(U, np.array([[1.0, 0.0], second]))
 
 
 def test_lifted_distance_closed_form_matches_outer_products():
@@ -326,6 +336,10 @@ def test_moment_bounds_rejects_bad_inputs():
     u = np.array([1.0 + 0j, 0.0])
     with pytest.raises(ValueError):
         moment_bound_check(np.outer(u, u.conj()), np.zeros(2, dtype=complex), 0.0, 10, SeedSpec(58))
+    # rank <= 2 means a third |eigenvalue| of at most 1e-8 max(1, largest).
+    with pytest.raises(ValueError, match="rank"):
+        moment_bound_check(np.diag([3.0, -1.0, 4e-8]), np.zeros(3), 0.0, 1000, SeedSpec(58))
+    moment_bound_check(np.diag([3.0, -1.0, 2e-8]), np.zeros(3), 0.0, 1000, SeedSpec(58))
 
 
 def test_moment_bounds_random_sweep():

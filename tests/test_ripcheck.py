@@ -329,12 +329,13 @@ def test_srip_profile_matches_reference_loop(monkeypatch, field, m, n, k, last_c
     gen = gen_real_gaussian_matrix if field == "real" else gen_complex_gaussian_matrix
     A = gen(m, n, SeedSpec(60, (field, m, n)))
     seed = SeedSpec(61, (field, k))
+    monkeypatch.setattr(ripcheck, "_REFINE_SWAPS", 12)
     for block in (ripcheck._BLOCK, 7):
         monkeypatch.setattr(ripcheck, "_BLOCK", block)
         (low, high), (wit_low, wit_high) = reference_srip_profile(
             A, k, 130, seed, last_coord_free=last_coord_free, refine_swaps=12, block=block
         )
-        est = srip_profile(A, k, 130, seed, last_coord_free=last_coord_free, refine_swaps=12)
+        est = srip_profile(A, k, 130, seed, last_coord_free=last_coord_free)
         assert (est.lower_hat, est.upper_hat) == (low, high)
         assert est.witness_lower.tobytes() == wit_low.tobytes()
         assert est.witness_upper.tobytes() == wit_high.tobytes()
@@ -380,10 +381,6 @@ def _bad_inputs():
     cases = {
         "srip_profile-nan-A": ("A", lambda: srip_profile(nan_A, 2, 5, seed)),
         "srip_profile-1d-A": ("A", lambda: srip_profile(A[0], 2, 5, seed)),
-        "srip_profile-negative-swaps": (
-            "refine_swaps",
-            lambda: srip_profile(A, 2, 5, seed, refine_swaps=-1),
-        ),
         "rip_ratio_sample-inf-A": ("A", lambda: rip_ratio_sample(inf_A, b, 2, 5, seed)),
         "rip_ratio_sample-nan-b": ("b", lambda: rip_ratio_sample(A, nan_b, 2, 5, seed)),
         "rip_ratio_sample-short-b": ("b", lambda: rip_ratio_sample(A, b[:-1], 2, 5, seed)),
@@ -414,8 +411,9 @@ def test_srip_profile_evaluates_each_swap_step_once_per_block(monkeypatch):
     monkeypatch.setattr(
         ripcheck, "_sparse_extremes", lambda *args: calls.append(args[0].shape[0]) or evaluate(*args)
     )
+    monkeypatch.setattr(ripcheck, "_REFINE_SWAPS", 10)
     A = gen_real_gaussian_matrix(20, 12, SeedSpec(67))
-    srip_profile(A, 2, 130, SeedSpec(68), refine_swaps=10)
+    srip_profile(A, 2, 130, SeedSpec(68))
     # Per block: the base vectors, then 5 swap steps for each side.
     assert calls == [64] * 11 + [64] * 11 + [2] * 11
 
@@ -494,7 +492,8 @@ def test_srip_profile_trial_scores_do_not_depend_on_trial_count(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(ripcheck, "_sparse_extremes", recording)
-            srip_profile(A, 2, trials, SeedSpec(73), refine_swaps=10)
+            patch.setattr(ripcheck, "_REFINE_SWAPS", 10)
+            srip_profile(A, 2, trials, SeedSpec(73))
         per_block = 1 + 2 * 5  # the base vectors, then 5 swap steps per side
         blocks = [np.stack(calls[i : i + per_block], axis=1) for i in range(0, len(calls), per_block)]
         runs[trials] = np.concatenate(blocks, axis=2)

@@ -346,7 +346,7 @@ def test_solvers_reject_negative_noiseless_magnitudes():
     # Intensities below zero are clipped, not rejected.
     data = cplx.ytilde.copy()
     data[0] = -0.5
-    opts = SolverOptions(restarts=1, mode="intensity", outer_max=3)
+    opts = SolverOptions(restarts=1, mode="intensity")
     assert solve_affine_pr_complex(cplx.ensemble, data, 0.0, opts).clipped_intensities == 1
 
 
@@ -633,7 +633,7 @@ def test_intensity_clipping_logged():
     inst = make_instance("complex", 8, 1, 6, SeedSpec(93), with_intensity=True)
     data = inst.ytilde.copy()
     data[0] = -0.5
-    opts = SolverOptions(restarts=1, mode="intensity", outer_max=3)
+    opts = SolverOptions(restarts=1, mode="intensity")
     rep = solve_affine_pr_complex(inst.ensemble, data, 1.0, opts)
     assert rep.clipped_intensities == 1
 
