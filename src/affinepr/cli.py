@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .harness import (
     ExperimentConfig,
@@ -32,16 +32,15 @@ from .model import array_to_json
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The ``--config`` file's config (the defaults without one) for this
+    subcommand's experiment, with the ``--seed`` and ``--out`` overrides."""
     if args.config:
         config = ExperimentConfig.from_json(args.config)
     else:
-        config = ExperimentConfig(experiment=args.experiment_default)
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.out is not None:
-        config.output_path = args.out
-    config.experiment = args.experiment_default
-    return config.validate()
+        config = ExperimentConfig(args.experiment_default)
+    overrides = {"master_seed": args.seed, "output_path": args.out}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    return replace(config, experiment=args.experiment_default, **overrides)
 
 
 def _cmd_gen(args) -> int:

@@ -24,6 +24,8 @@ from .model import (
     REAL,
     MeasurementEnsemble,
     ProblemInstance,
+    _integer,
+    _real,
     array_from_json,
     array_to_json,
     error_metrics,
@@ -51,64 +53,72 @@ class InstanceFormatError(ValueError):
     """Raised when a stored instance fails version or checksum validation."""
 
 
-@dataclass
+def _grid_list(name: str, values, check, *bounds) -> tuple:
+    """The nonempty list ``values`` as a tuple of ``check(name + " entry", value, *bounds)``."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"{name} must be a nonempty list, got {values!r}")
+    return tuple(check(f"{name} entry", value, *bounds) for value in values)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's spec, checked once, when it is built (``validate``)."""
+
     experiment: str
     field: str = REAL
     n: int = 64
-    k_list: list = dc_field(default_factory=lambda: [3])
-    m_list: list = dc_field(default_factory=lambda: [60])
+    k_list: tuple = (3,)
+    m_list: tuple = (60,)
     trials_per_cell: int = 20
-    epsilon_list: list = dc_field(default_factory=lambda: [0.0])
+    epsilon_list: tuple = (0.0,)
     bias: dict = dc_field(default_factory=lambda: {"kind": "constant", "c": 1.0})
     master_seed: int = 0
     solver: SolverOptions = dc_field(default_factory=SolverOptions)
     output_path: str = ""
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "ExperimentConfig":
+        """Check every field and store it in canonical form (grid lists as tuples,
+        a file bias as the vector it holds).  Idempotent; returns the config."""
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.field not in (REAL, COMPLEX):
             raise ValueError(f"unknown field {self.field!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not self.k_list or not self.m_list or not self.epsilon_list:
-            raise ValueError("grid lists must be nonempty")
-        if any(k > self.n or k < 1 for k in self.k_list):
-            raise ValueError("every k must satisfy 1 <= k <= n")
-        if any(m < 1 for m in self.m_list):
-            raise ValueError("every m must be >= 1")
-        if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be >= 1")
-        if any(e < 0 for e in self.epsilon_list):
-            raise ValueError("epsilons must be nonnegative")
-        if sorted(self.epsilon_list) != list(self.epsilon_list):
+        if not isinstance(self.solver, SolverOptions):
+            raise ValueError("solver must be a SolverOptions")
+        put = lambda name, value: object.__setattr__(self, name, value)
+        put("n", _integer("n", self.n, 1))
+        put("k_list", _grid_list("k_list", self.k_list, _integer, 1, self.n))
+        put("m_list", _grid_list("m_list", self.m_list, _integer, 1))
+        put("epsilon_list", _grid_list("epsilon_list", self.epsilon_list, _real))
+        put("trials_per_cell", _integer("trials_per_cell", self.trials_per_cell, 1))
+        put("master_seed", SeedSpec(self.master_seed).master_seed)
+        if list(self.epsilon_list) != sorted(self.epsilon_list):
             raise ValueError("epsilon_list must be sorted ascending")
-        if self.bias.get("kind") == "file":
+        if isinstance(self.bias, dict) and self.bias.get("kind") == "file":
             # Read once: every trial, and the resume digest, use these values.
             if not isinstance(self.bias.get("path"), str):
                 raise ValueError("file bias needs a string 'path'")
             with open(self.bias["path"], "r", encoding="utf-8") as fh:
-                self.bias = {"kind": "vector", "values": json.load(fh)}
+                put("bias", {"kind": "vector", "values": json.load(fh)})
         for m in self.m_list:
             normalize_bias(self.field, self.bias, m)
         return self
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        if "solver" in data and isinstance(data["solver"], dict):
-            sopts = data["solver"]
-            sallowed = {f.name for f in fields(SolverOptions)}
-            sunknown = set(sopts) - sallowed
-            if sunknown:
-                raise ValueError(f"unknown solver option keys: {sorted(sunknown)}")
-            data["solver"] = SolverOptions(**sopts)
-        return cls(**data).validate()
+        if isinstance(data.get("solver"), dict):
+            unknown = set(data["solver"]) - {f.name for f in fields(SolverOptions)}
+            if unknown:
+                raise ValueError(f"unknown solver option keys: {sorted(unknown)}")
+            data["solver"] = SolverOptions(**data["solver"])
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -116,7 +126,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def digest(self) -> str:
-        """SHA-256 of the config; after ``validate`` a file bias holds its values, not its path."""
+        """SHA-256 of the config, whose file bias holds its values, not its path."""
         doc = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
@@ -285,7 +295,6 @@ def _run_cells(config: ExperimentConfig, keys: list) -> list:
 def run_phase_grid(config: ExperimentConfig, render=None) -> list[CellResult]:
     """Noiseless success-probability grid over (m, k) cells, written to the
     output path as ``render(cells)`` (``phase_grid_csv`` by default)."""
-    config.validate()
     keys = [(m, k, 0.0) for m in config.m_list for k in config.k_list]
     cells = _run_cells(config, keys)
     if config.output_path:
@@ -316,7 +325,6 @@ class NoiseCurveResult:
 
 def run_noise_curve(config: ExperimentConfig) -> NoiseCurveResult:
     """Median error vs epsilon at fixed (n, k, m), with a through-origin fit."""
-    config.validate()
     m = config.m_list[0]
     k = config.k_list[0]
     keys = [(m, k, float(e)) for e in config.epsilon_list]
@@ -355,7 +363,6 @@ def run_impossibility_demo(config: ExperimentConfig) -> ImpossibilityReport:
     producing identical measurements; the l1 decoder tracks the sparse
     signal, so its distance to the alias grows linearly in r.
     """
-    config.validate()
     m = config.m_list[0]
     k = config.k_list[0]
     if m > config.n:
@@ -397,7 +404,6 @@ def run_impossibility_demo(config: ExperimentConfig) -> ImpossibilityReport:
 
 def run_srip(config: ExperimentConfig):
     """SRIP profiles for A and the augmented [A b]."""
-    config.validate()
     m = config.m_list[0]
     k = config.k_list[0]
     seed = SeedSpec(config.master_seed, ("srip", m, k))
@@ -419,7 +425,6 @@ def run_srip(config: ExperimentConfig):
 
 def run_ripmap(config: ExperimentConfig):
     """Ratio band of the lifted map over the structured rank-2 class."""
-    config.validate()
     m = config.m_list[0]
     k = config.k_list[0]
     seed = SeedSpec(config.master_seed, ("ripmap", m, k))
@@ -439,7 +444,6 @@ def run_lemma_suite(config: ExperimentConfig) -> dict:
         sparse_convex_decompose,
     )
 
-    config.validate()
     n = min(config.n, 16)
     count = config.trials_per_cell
     master = SeedSpec(config.master_seed, ("lemma_suite",))

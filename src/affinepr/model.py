@@ -12,6 +12,7 @@ matrix ``A`` whose j-th row applied to ``x`` yields that inner product, so
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -20,6 +21,8 @@ REAL = "real"
 COMPLEX = "complex"
 
 _DTYPES = {REAL: np.float64, COMPLEX: np.complex128}
+
+_MASK64 = (1 << 64) - 1  # the largest seed: seeds are unsigned 64-bit integers
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -38,6 +41,24 @@ def _checked(name: str, arr, shape: tuple) -> np.ndarray:
     return arr
 
 
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high]: an integer, numpy's too, but not a bool."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, >= 0 (> 0 if ``positive``): a real number, not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+    return float(value)
+
+
 def array_to_json(arr) -> list | dict:
     """JSON form of an array: nested lists, or {"re": ..., "im": ...} if complex."""
     arr = np.asarray(arr)
@@ -53,14 +74,14 @@ def array_from_json(payload) -> np.ndarray:
     return np.asarray(payload)
 
 
-def _cast(name: str, arr, field: str) -> np.ndarray:
-    """``arr`` in the dtype of ``field``; complex entries are refused on the real field."""
+def _cast(name: str, arr, field: str, shape: tuple) -> np.ndarray:
+    """``arr`` in the dtype of ``field`` (complex refused on the real one), as ``_checked``."""
     if field not in _DTYPES:
         raise ValueError(f"unknown field {field!r}")
     arr = np.asarray(arr)
     if field == REAL and np.iscomplexobj(arr):
-        raise ValueError(f"{name} is complex, but the field is real")
-    return np.asarray(arr, dtype=_DTYPES[field])
+        raise ValueError(f"{name} is complex, but must be real")
+    return _checked(name, np.asarray(arr, dtype=_DTYPES[field]), shape)
 
 
 @dataclass(frozen=True)
@@ -77,13 +98,9 @@ class MeasurementEnsemble:
     seed_meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        A = _cast("A", self.A, self.field)
-        b = _cast("b", self.b, self.field)
-        if A.ndim != 2:
-            raise ValueError("A must be a 2-d matrix")
-        if b.ndim != 1 or b.shape[0] != A.shape[0]:
-            raise ValueError("b must be a length-m vector matching A")
-        if A.shape[0] < 1 or A.shape[1] < 1:
+        A = _cast("A", self.A, self.field, (None, None))
+        b = _cast("b", self.b, self.field, (A.shape[0],))
+        if min(A.shape) < 1:
             raise ValueError("m and n must be at least 1")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "b", _freeze(b))
@@ -109,21 +126,13 @@ class ProblemInstance:
     ytilde: np.ndarray | None = None
 
     def __post_init__(self):
-        x0 = _cast("x0", self.x0, self.ensemble.field)
-        if x0.shape != (self.ensemble.n,):
-            raise ValueError("x0 length does not match ensemble")
-        w = np.asarray(self.w, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if w.shape != (self.ensemble.m,) or y.shape != (self.ensemble.m,):
-            raise ValueError("w and y must be real length-m vectors")
-        object.__setattr__(self, "x0", _freeze(x0))
-        object.__setattr__(self, "w", _freeze(w))
-        object.__setattr__(self, "y", _freeze(y))
+        ens = self.ensemble
+        arrays = {"x0": (ens.field, ens.n), "w": (REAL, ens.m), "y": (REAL, ens.m)}
         if self.ytilde is not None:
-            yt = np.asarray(self.ytilde, dtype=np.float64)
-            if yt.shape != (self.ensemble.m,):
-                raise ValueError("ytilde must be a real length-m vector")
-            object.__setattr__(self, "ytilde", _freeze(yt))
+            arrays["ytilde"] = (REAL, ens.m)
+        for key, (field, size) in arrays.items():
+            object.__setattr__(self, key, _freeze(_cast(key, getattr(self, key), field, (size,))))
+        object.__setattr__(self, "k", _integer("k", self.k, 0, ens.n))
 
 
 @dataclass(frozen=True)
@@ -136,16 +145,8 @@ class ErrorMetrics:
 
 def forward_model(ensemble: MeasurementEnsemble, x, w=None) -> np.ndarray:
     """Magnitude measurements y_j = |<a_j, x> + b_j| + w_j."""
-    x = _cast("x", x, ensemble.field)
-    if x.shape != (ensemble.n,):
-        raise ValueError(f"signal shape {x.shape} does not match n={ensemble.n}")
-    mags = np.abs(ensemble.A @ x + ensemble.b)
-    if w is None:
-        return mags
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (ensemble.m,):
-        raise ValueError("noise vector has wrong length")
-    return mags + w
+    mags = np.abs(ensemble.A @ _cast("x", x, ensemble.field, (ensemble.n,)) + ensemble.b)
+    return mags if w is None else mags + _cast("w", w, REAL, (ensemble.m,))
 
 
 def lifted_intensity(ensemble: MeasurementEnsemble, x) -> np.ndarray:

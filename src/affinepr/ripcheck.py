@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .model import _checked
-from .rng import SeedSpec, _splitmix64
+from .rng import SeedSpec
 
 # Trials evaluated together: enough to amortize numpy's per-call cost over
 # the block, few enough that a block's gathered support columns (64 x k x m)
@@ -57,14 +57,10 @@ class RipEstimate:
 
 
 def _blocks(seed: SeedSpec, label: str, trials: int):
-    """(trials kept, generator) of each block of ``_BLOCK`` trials.
-
-    Block j's generator is seeded with one splitmix64 step of j over the
-    derived seed of ``seed.child(label)``.
-    """
-    state = seed.child(label).derive()
+    """(trials kept, generator) of each block of ``_BLOCK`` trials; block j
+    draws from the stream ``seed.child(label, j)``."""
     for j, start in enumerate(range(0, trials, _BLOCK)):
-        yield min(_BLOCK, trials - start), np.random.default_rng(_splitmix64(state ^ j))
+        yield min(_BLOCK, trials - start), seed.child(label, j).rng()
 
 
 def _supports(rng, width: int, k: int) -> np.ndarray:

@@ -20,13 +20,13 @@ from .model import (
     REAL,
     MeasurementEnsemble,
     ProblemInstance,
+    _MASK64,
     _checked,
+    _integer,
     array_from_json,
     forward_model,
     lifted_intensity,
 )
-
-_MASK64 = (1 << 64) - 1
 
 # The signal and noise laws of make_instance, as its seed metadata names them.
 _MODELS = {"amplitude_model": "gaussian", "noise_model": "sphere"}
@@ -61,15 +61,15 @@ class SeedSpec:
     labels: tuple = ()
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) <= _MASK64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+        seed = _integer("master_seed", self.master_seed, 0, _MASK64)
+        object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     def child(self, *labels) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.labels + labels)
 
     def derive(self) -> int:
-        state = _splitmix64(int(self.master_seed))
+        state = _splitmix64(self.master_seed)
         for label in self.labels:
             state = _splitmix64(state ^ _label_word(label))
         return state
@@ -210,7 +210,7 @@ def make_ensemble(field: str, m: int, n: int, seed: SeedSpec, bias=None) -> Meas
         "field": field,
         "m": m,
         "n": n,
-        "master_seed": int(seed.master_seed),
+        "master_seed": seed.master_seed,
         "labels": list(seed.labels),
         "bias": bias,
     }

@@ -59,7 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import COMPLEX, REAL, MeasurementEnsemble, _checked, lifted_intensity
+from .model import COMPLEX, REAL, _MASK64, MeasurementEnsemble, _checked, _integer, _real
+from .model import lifted_intensity
 from .rng import SeedSpec
 
 
@@ -70,7 +71,8 @@ class SolverOptions:
 
     inner_max: cap on the real lasso path's steps or the complex ADMM iterations of a
         full BPDN call; outer steps cap at 600 (``_OUTER_CAP``), flip probes at 300.
-    inner_tol: complex ADMM tolerance on the residuals, relative to 1 + ||c||.
+    inner_tol: complex ADMM tolerance on the residuals, relative to 1 + ||c||; it also
+        sets the phase loop's fixed-point test, min(1e-9, max(10 inner_tol, 1e-13)).
     restarts: most chains: the bias anchor, the anchor on a slower homotopy, then random
         patterns; a noiseless real solve with rank(A) = n < m stops at the first exact fit.
     mode: "magnitude" data y = |A x + b|, or "intensity" ytilde = |A x + b|^2 (complex only).
@@ -86,12 +88,11 @@ class SolverOptions:
     flip_candidates: int = 6
 
     def __post_init__(self):
-        if min(self.inner_max, self.restarts) < 1:
-            raise ValueError("iteration and restart counts must be >= 1")
-        if self.inner_tol <= 0:
-            raise ValueError("inner_tol must be positive")
-        if self.flip_candidates < 0:
-            raise ValueError("flip_candidates must be >= 0")
+        for name, low in (("inner_max", 1), ("restarts", 1), ("flip_candidates", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        seed = _integer("restart_seed", self.restart_seed, 0, _MASK64)
+        object.__setattr__(self, "restart_seed", seed)
+        object.__setattr__(self, "inner_tol", _real("inner_tol", self.inner_tol, positive=True))
         if self.mode not in ("magnitude", "intensity"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
 
@@ -669,7 +670,7 @@ def _restart_chains(A, b, opts):
     """(u0, freeze levels, schedule) of each of ``opts.restarts`` chains:
     bias-anchored fast path, then a slower homotopy from the same anchor,
     then frozen random patterns."""
-    rng = SeedSpec(opts.restart_seed & ((1 << 64) - 1), ("solver", "restarts")).rng()
+    rng = SeedSpec(opts.restart_seed, ("solver", "restarts")).rng()
     anchor = _unit_pattern(b)
     chains = [(anchor, 0, _FAST)]
     if opts.restarts >= 2:
@@ -736,8 +737,7 @@ def _solve(ensemble, data, epsilon, opts, field: str, data_name: str) -> SolveRe
         raise ValueError(f"{field} solver requires a {field} ensemble")
     if field == REAL and opts.mode != "magnitude":
         raise ValueError(f"mode {opts.mode!r} needs complex data; the real solver takes magnitudes")
-    A = _checked("A", ensemble.A, (None, None))
-    b = _checked("b", ensemble.b, (A.shape[0],))
+    A, b = ensemble.A, ensemble.b
     data = _checked(data_name, np.asarray(data, dtype=np.float64), (A.shape[0],))
     if opts.mode == "magnitude" and epsilon == 0.0 and np.any(data < 0):
         raise ValueError(f"{data_name} has negative entries; noiseless magnitudes are nonnegative")

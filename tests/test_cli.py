@@ -313,3 +313,11 @@ def test_cli_output_routing(tmp_path, capsys, command, out, fmt):
         _check_output(out_path.read_text(), want_file)
     written = ["cfg.json", "out.dat"] if want_file else ["cfg.json"]
     assert sorted(os.listdir(tmp_path)) == written  # no sidecar or temporary file is left
+
+
+def test_cli_checks_overrides_before_writing(tmp_path):
+    # --seed replaces the loaded config's seed through the same checks.
+    out = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="master_seed"):
+        run_cli(["--seed", "-1", "--out", str(out), "phase-grid"])
+    assert os.listdir(tmp_path) == []

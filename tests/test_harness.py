@@ -91,6 +91,60 @@ def test_config_validation_errors():
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n", 16.0),
+        ("m_list", [24.0]),
+        ("trials_per_cell", 1.5),
+        ("k_list", 2),
+        ("master_seed", -3),
+        ("master_seed", 1.5),
+        ("epsilon_list", [0.0, float("nan")]),
+        ("epsilon_list", [0.0, float("inf")]),
+    ],
+    ids=[
+        "float-n",
+        "float-m",
+        "fractional-trials",
+        "scalar-k_list",
+        "negative-seed",
+        "fractional-seed",
+        "nan-epsilon",
+        "inf-epsilon",
+    ],
+)
+def test_config_rejects_bad_grid_values_at_load(tmp_path, key, value):
+    # Each used to load: the float counts and the negative seed then failed
+    # with a TypeError (or a seed error) in the first trial, a fractional seed
+    # ran on the truncated seed's streams, and a non-finite epsilon failed at
+    # its cell, after the earlier cells had run.
+    grid = {**SMALL_GRID, key: value, "output_path": str(tmp_path / "grid.csv")}
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(grid)
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_solver_must_be_checked_options():
+    with pytest.raises(ValueError, match="restarts"):
+        ExperimentConfig.from_dict({**SMALL_GRID, "solver": {"restarts": 2.0}})
+    with pytest.raises(ValueError, match="solver must be a SolverOptions"):
+        ExperimentConfig("phase_grid", solver={"restarts": 2})
+
+
+def test_config_is_frozen_and_checked_on_replace():
+    cfg = ExperimentConfig.from_dict(SMALL_GRID)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.master_seed = 5
+    with pytest.raises(ValueError, match="master_seed"):
+        dataclasses.replace(cfg, master_seed=-1)
+    with pytest.raises(ValueError, match="k_list"):
+        dataclasses.replace(cfg, n=1)
+    # validate is idempotent: a checked config stays as it is.
+    assert cfg.validate() is cfg and cfg == ExperimentConfig.from_dict(SMALL_GRID)
+    assert cfg.m_list == (24, 32) and cfg.epsilon_list == (0.0,)
+
+
+@pytest.mark.parametrize(
     "bias",
     [
         {"kind": "complex_gaussian"},
@@ -111,9 +165,9 @@ def test_config_rejects_bias_before_any_trial(tmp_path, monkeypatch, bias):
     grid = {**SMALL_GRID, "bias": bias, "output_path": str(tmp_path / "grid.csv")}
     with pytest.raises(ValueError, match="bias"):
         ExperimentConfig.from_dict(grid)
-    unchecked = ExperimentConfig(**{**grid, "solver": SolverOptions(**grid["solver"])})
+    # The constructor runs the same checks, so no unchecked config reaches a run.
     with pytest.raises(ValueError, match="bias"):
-        run_phase_grid(unchecked)
+        run_phase_grid(ExperimentConfig(**{**grid, "solver": SolverOptions(**grid["solver"])}))
     assert sorted(os.listdir(tmp_path)) == ["bias24.json", "complex24.json"]
 
 
@@ -138,9 +192,8 @@ def test_config_rejects_non_finite_bias_vector(tmp_path, field, values):
     }
     with pytest.raises(ValueError, match="bias vector has non-finite entries"):
         ExperimentConfig.from_dict(grid)
-    unchecked = ExperimentConfig(**{**grid, "solver": SolverOptions(**grid["solver"])})
     with pytest.raises(ValueError, match="bias vector"):
-        run_phase_grid(unchecked)
+        run_phase_grid(ExperimentConfig(**{**grid, "solver": SolverOptions(**grid["solver"])}))
     assert os.listdir(tmp_path) == []
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from affinepr import (
     MeasurementEnsemble,
+    ProblemInstance,
     SeedSpec,
     best_k_term_error,
     bias_band,
@@ -207,3 +208,27 @@ def test_ensemble_validation():
     ens = MeasurementEnsemble("real", np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
         ens.A[0, 0] = 5.0
+
+
+_ENS = MeasurementEnsemble("real", np.eye(3), np.ones(3))
+_NAN, _INF = np.array([1.0, np.nan, 1.0]), np.array([1.0, np.inf, 1.0])
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("A", lambda: MeasurementEnsemble("real", np.diag(_NAN), _ENS.b)),
+        ("b", lambda: MeasurementEnsemble("real", _ENS.A, _NAN)),
+        ("y", lambda: ProblemInstance(_ENS, np.zeros(3), np.zeros(3), _INF, 1)),
+        ("x0", lambda: ProblemInstance(_ENS, _NAN, np.zeros(3), np.ones(3), 1)),
+        ("w", lambda: ProblemInstance(_ENS, np.zeros(3), np.full(3, 1j), np.ones(3), 1)),
+        ("k", lambda: ProblemInstance(_ENS, np.zeros(3), np.zeros(3), np.ones(3), 1.5)),
+        ("x", lambda: forward_model(_ENS, _INF)),
+    ],
+    ids=["nan-A", "nan-b", "inf-y", "nan-x0", "complex-w", "fractional-k", "inf-x"],
+)
+def test_ensemble_rejects_bad_arrays(name, build):
+    # These used to build; save_instance then wrote the token NaN, which is not
+    # JSON, and a complex w lost its imaginary part with only a warning.
+    with pytest.raises(ValueError, match=f"^{name} "):
+        build()

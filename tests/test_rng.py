@@ -97,6 +97,17 @@ def test_noise_models():
         gen_noise(5, -1.0, SeedSpec(1))
 
 
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2**64], ids=["float", "bool", "negative", "too-large"])
+def test_seed_spec_rejects_non_seeds(seed):
+    # 1.5 and True used to derive seed 1's streams.
+    with pytest.raises(ValueError, match="master_seed"):
+        SeedSpec(seed)
+
+
+def test_seed_spec_accepts_numpy_integers():
+    assert SeedSpec(np.uint64(7), ("x",)).derive() == SeedSpec(7, ("x",)).derive()
+
+
 def test_stream_independence():
     n = 100_000
     a = SeedSpec(77, ("stream", 1)).rng().standard_normal(n)

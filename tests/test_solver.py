@@ -662,3 +662,30 @@ def test_solver_options_validation():
         SolverOptions(inner_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(mode="projective")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("restart_seed", -1),
+        ("restart_seed", 1.5),
+        ("restarts", 3.0),
+        ("restarts", True),
+        ("flip_candidates", 2.5),
+        ("inner_max", 700.5),
+        ("inner_tol", float("nan")),
+        ("inner_tol", float("inf")),
+        ("inner_tol", True),
+    ],
+)
+def test_solver_options_reject_bad_values(key, value):
+    # restart_seed=-1 used to run on seed 2**64 - 1; the float counts failed
+    # mid-solve with a TypeError, or (flip_candidates, inner_max, True) ran.
+    with pytest.raises(ValueError, match=key):
+        SolverOptions(**{key: value})
+
+
+def test_solver_options_accept_numpy_integers():
+    opts = SolverOptions(restarts=np.int64(3), restart_seed=np.uint64(2**64 - 1))
+    assert (opts.restarts, opts.restart_seed) == (3, 2**64 - 1)
+    assert type(opts.restarts) is int
