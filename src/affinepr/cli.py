@@ -43,8 +43,7 @@ def _load_config(args) -> ExperimentConfig:
     return replace(config, experiment=args.experiment_default, **overrides)
 
 
-def _cmd_gen(args) -> int:
-    config = _load_config(args)
+def _cmd_gen(args, config: ExperimentConfig) -> int:
     if not config.output_path:
         raise SystemExit("gen requires --out")
     save_instance(config.output_path, generate_instance(config))
@@ -52,8 +51,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    config = _load_config(args)
+def _cmd_solve(args, config: ExperimentConfig) -> int:
     inst = load_instance(args.instance)
     report = solve_instance(inst, config.epsilon_list[0], config.solver)
     doc = asdict(report)
@@ -62,8 +60,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_phase_grid(args) -> int:
-    config = _load_config(args)
+def _cmd_phase_grid(args, config: ExperimentConfig) -> int:
     render = phase_grid_json if args.format == "json" else phase_grid_csv
     cells = run_phase_grid(config, render)
     if not config.output_path:
@@ -71,8 +68,7 @@ def _cmd_phase_grid(args) -> int:
     return 0
 
 
-def _cmd_noise_curve(args) -> int:
-    config = _load_config(args)
+def _cmd_noise_curve(args, config: ExperimentConfig) -> int:
     result = run_noise_curve(config)
     summary = {
         "slope": result.slope,
@@ -86,8 +82,7 @@ def _cmd_noise_curve(args) -> int:
     return 0
 
 
-def _cmd_impossibility(args) -> int:
-    config = _load_config(args)
+def _cmd_impossibility(args, config: ExperimentConfig) -> int:
     rep = run_impossibility_demo(config)
     if config.output_path:
         print(f"wrote report to {config.output_path}")
@@ -96,8 +91,7 @@ def _cmd_impossibility(args) -> int:
     return 0
 
 
-def _cmd_srip(args) -> int:
-    config = _load_config(args)
+def _cmd_srip(args, config: ExperimentConfig) -> int:
     est_a, est_ab = run_srip(config)
     doc = {
         "A": {"lower_hat": est_a.lower_hat, "upper_hat": est_a.upper_hat, "samples": est_a.samples},
@@ -108,8 +102,7 @@ def _cmd_srip(args) -> int:
     return 0
 
 
-def _cmd_ripmap(args) -> int:
-    config = _load_config(args)
+def _cmd_ripmap(args, config: ExperimentConfig) -> int:
     est = run_ripmap(config)
     doc = {
         "ratio_min": est.lower_hat,
@@ -122,8 +115,7 @@ def _cmd_ripmap(args) -> int:
     return 0
 
 
-def _cmd_lemma(args) -> int:
-    config = _load_config(args)
+def _cmd_lemma(args, config: ExperimentConfig) -> int:
     summary = run_lemma_suite(config)
     if not config.output_path:
         write_json(summary)
@@ -160,7 +152,7 @@ def main(argv=None) -> int:
             p.add_argument("instance", help="path to a saved instance file")
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    return args.fn(args, _load_config(args))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .model import (
     array_to_json,
     error_metrics,
 )
-from .rng import SeedSpec, make_instance, normalize_bias
+from .rng import SeedSpec, make_ensemble, make_instance, normalize_bias
 from .ripcheck import rip_ratio_sample, srip_profile
 from .solver import SolveReport, SolverOptions, solve_affine_pr_complex, solve_affine_pr_real
 
@@ -42,6 +42,8 @@ EXPERIMENTS = (
     "ripmap",
     "lemma_suite",
 )
+# The experiments that run one (m, k) cell: they read m_list[0] and k_list[0] only.
+_SINGLE_CELL = ("noise_curve", "impossibility", "srip", "ripmap")
 
 # CSV columns of a grid cell after its (m, k) or epsilon; all are keys of cell_to_json.
 _CELL_COLUMNS = ("trials", "successes", "wilson_lo", "wilson_hi", "median_err", "median_phase_err")
@@ -62,7 +64,14 @@ def _grid_list(name: str, values, check, *bounds) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's spec, checked once, when it is built (``validate``)."""
+    """One experiment's spec, checked once, when it is built (``validate``).
+
+    ``bias`` defaults to None, the field's default spec (``rng.normalize_bias``);
+    a built config holds the canonical spec, so a bias spelled ``1``,
+    ``{"kind": "constant", "c": 1}`` or left out on the real field loads as
+    ``{"kind": "constant", "c": 1.0}``, with one digest.  A single-cell
+    experiment (``_SINGLE_CELL``) takes one m and one k.
+    """
 
     experiment: str
     field: str = REAL
@@ -71,7 +80,7 @@ class ExperimentConfig:
     m_list: tuple = (60,)
     trials_per_cell: int = 20
     epsilon_list: tuple = (0.0,)
-    bias: dict = dc_field(default_factory=lambda: {"kind": "constant", "c": 1.0})
+    bias: dict | None = None
     master_seed: int = 0
     solver: SolverOptions = dc_field(default_factory=SolverOptions)
     output_path: str = ""
@@ -81,13 +90,16 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check every field and store it in canonical form (grid lists as tuples,
-        a file bias as the vector it holds).  Idempotent; returns the config."""
+        the bias as ``normalize_bias`` spells it, a file bias as the vector it
+        holds).  Idempotent; returns the config."""
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.field not in (REAL, COMPLEX):
             raise ValueError(f"unknown field {self.field!r}")
         if not isinstance(self.solver, SolverOptions):
             raise ValueError("solver must be a SolverOptions")
+        if not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         put = lambda name, value: object.__setattr__(self, name, value)
         put("n", _integer("n", self.n, 1))
         put("k_list", _grid_list("k_list", self.k_list, _integer, 1, self.n))
@@ -97,6 +109,9 @@ class ExperimentConfig:
         put("master_seed", SeedSpec(self.master_seed).master_seed)
         if list(self.epsilon_list) != sorted(self.epsilon_list):
             raise ValueError("epsilon_list must be sorted ascending")
+        for name in ("m_list", "k_list"):
+            if self.experiment in _SINGLE_CELL and len(getattr(self, name)) > 1:
+                raise ValueError(f"{name} of a {self.experiment} experiment must hold one value")
         if isinstance(self.bias, dict) and self.bias.get("kind") == "file":
             # Read once: every trial, and the resume digest, use these values.
             if not isinstance(self.bias.get("path"), str):
@@ -104,7 +119,7 @@ class ExperimentConfig:
             with open(self.bias["path"], "r", encoding="utf-8") as fh:
                 put("bias", {"kind": "vector", "values": json.load(fh)})
         for m in self.m_list:
-            normalize_bias(self.field, self.bias, m)
+            put("bias", normalize_bias(self.field, self.bias, m))
         return self
 
     @classmethod
@@ -169,7 +184,7 @@ def _fmt(v: float) -> str:
 
 
 def _instance(config: ExperimentConfig, k: int, m: int, seed: SeedSpec, epsilon: float = 0.0):
-    """The instance every experiment of ``config`` draws from ``seed``."""
+    """The instance that a solving experiment of ``config`` draws from ``seed``."""
     return make_instance(
         config.field,
         config.n,
@@ -371,10 +386,9 @@ def run_impossibility_demo(config: ExperimentConfig) -> ImpossibilityReport:
         raise ValueError("impossibility demo is a real-field construction")
     inst = _instance(config, k, m, SeedSpec(config.master_seed, ("impossibility", m, k)))
     A, b, x0 = inst.ensemble.A, inst.ensemble.b, inst.x0
-    rank = int(np.linalg.matrix_rank(A))
+    z0, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < m:
         raise ValueError("A is not full row rank")
-    z0, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
 
     r_values = [1.0, 10.0, 100.0, 1000.0]
     collision = []
@@ -407,8 +421,8 @@ def run_srip(config: ExperimentConfig):
     m = config.m_list[0]
     k = config.k_list[0]
     seed = SeedSpec(config.master_seed, ("srip", m, k))
-    inst = _instance(config, k, m, seed)
-    A, b = inst.ensemble.A, inst.ensemble.b
+    ens = make_ensemble(config.field, m, config.n, seed, bias=config.bias)
+    A, b = ens.A, ens.b
     est_a = srip_profile(A, k, config.trials_per_cell, seed.child("profileA"))
     aug = np.column_stack([A, b])
     est_ab = srip_profile(
@@ -428,8 +442,8 @@ def run_ripmap(config: ExperimentConfig):
     m = config.m_list[0]
     k = config.k_list[0]
     seed = SeedSpec(config.master_seed, ("ripmap", m, k))
-    inst = _instance(config, k, m, seed)
-    est = rip_ratio_sample(inst.ensemble.A, inst.ensemble.b, k, config.trials_per_cell, seed)
+    ens = make_ensemble(config.field, m, config.n, seed, bias=config.bias)
+    est = rip_ratio_sample(ens.A, ens.b, k, config.trials_per_cell, seed)
     if config.output_path:
         row = [str(k), str(est.samples), _fmt(est.lower_hat), _fmt(est.upper_hat), _fmt(est.spread)]
         _write_rows(config.output_path, "k,samples,ratio_min,ratio_max,spread", [row])

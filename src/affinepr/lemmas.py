@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _checked
+from .model import _checked, _integer
 from .rng import SeedSpec
 
 
@@ -239,8 +239,7 @@ def moment_bound_check(
     h = np.asarray(h, dtype=np.complex128)
     H = np.asarray(H, dtype=np.complex128)
     lower, upper = moment_bounds(H, h, b)
-    if samples < 1000:
-        raise ValueError("need at least 1e3 samples")
+    samples = _integer("samples", samples, 1000)
     if float(np.max(np.abs(H - H.conj().T), initial=0.0)) > 1e-10 * max(
         1.0, float(np.max(np.abs(H), initial=0.0))
     ):

@@ -180,8 +180,7 @@ def best_k_term_error(x, k: int, p: int = 1) -> float:
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("x must be 1-d")
-    if not 0 <= k <= x.size:
-        raise ValueError(f"k={k} out of range for n={x.size}")
+    k = _integer("k", k, 0, x.size)
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     order = np.argsort(-np.abs(x), kind="stable")

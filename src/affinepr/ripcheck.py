@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import _checked
+from .model import _checked, _integer
 from .rng import SeedSpec
 
 # Trials evaluated together: enough to amortize numpy's per-call cost over
@@ -141,12 +141,10 @@ def srip_profile(
     each side is the first trial, in trial order, that attains the extreme.
     """
     A = _checked("A", A, (None, None))
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _integer("trials", trials, 1)
     m, n = A.shape
     head = n - 1 if last_coord_free else n
-    if not 1 <= k <= head:
-        raise ValueError(f"need 1 <= k <= {head}, got k={k}")
+    k = _integer("k", k, 1, head)
     keep = math.ceil(m / 2)
     complex_field = np.iscomplexobj(A)
     # The head part of a support always holds k distinct coordinates.  With
@@ -279,10 +277,7 @@ def rip_ratio_sample(A, b, k: int, trials: int, seed: SeedSpec) -> RipEstimate:
     A = _checked("A", A, (None, None))
     m, n = A.shape
     b = _checked("b", b, (m,))
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}")
+    trials, k = _integer("trials", trials, 1), _integer("k", k, 1, n)
     complex_field = np.iscomplexobj(A)
     conj_b = np.conj(b)
 
@@ -345,8 +340,7 @@ def crossterm_sup(A, b, k: int) -> float:
     """
     A = _checked("A", np.asarray(A, dtype=np.float64), (None, None))
     b = _checked("b", np.asarray(b, dtype=np.float64), (A.shape[0],))
-    if not 1 <= k <= A.shape[1]:
-        raise ValueError(f"need 1 <= k <= n, got k={k}")
+    k = _integer("k", k, 1, A.shape[1])
     corr = np.abs(A.T @ b)
     top = np.partition(corr, A.shape[1] - k)[A.shape[1] - k :]
     return float(np.sqrt(np.sum(top**2)))

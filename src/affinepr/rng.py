@@ -23,6 +23,7 @@ from .model import (
     _MASK64,
     _checked,
     _integer,
+    _real,
     array_from_json,
     forward_model,
     lifted_intensity,
@@ -80,15 +81,13 @@ class SeedSpec:
 
 def gen_real_gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
     """m x n matrix of i.i.d. N(0, 1/m) entries."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    m, n = _integer("m", m, 1), _integer("n", n, 1)
     return seed.rng().normal(0.0, 1.0 / math.sqrt(m), size=(m, n))
 
 
 def gen_complex_gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
     """m x n matrix with independent real/imag parts N(0, 1/2), E|a_jk|^2 = 1."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    m, n = _integer("m", m, 1), _integer("n", n, 1)
     rng = seed.rng()
     re = rng.standard_normal((m, n))
     im = rng.standard_normal((m, n))
@@ -97,17 +96,13 @@ def gen_complex_gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
 
 def gen_bias_real(m: int, c: float = 1.0) -> np.ndarray:
     """Constant bias c * 1_m / sqrt(m); its subset-norm band is (c*sqrt(ceil(m/2)/m), c)."""
-    if c <= 0:
-        raise ValueError("bias scale c must be positive")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    c, m = _real("c", c, positive=True), _integer("m", m, 1)
     return np.full(m, c / math.sqrt(m))
 
 
 def gen_bias_complex(m: int, seed: SeedSpec) -> np.ndarray:
     """Length-m vector of i.i.d. standard complex Gaussian entries (E|b_j|^2 = 1)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _integer("m", m, 1)
     rng = seed.rng()
     return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
 
@@ -115,8 +110,7 @@ def gen_bias_complex(m: int, seed: SeedSpec) -> np.ndarray:
 def gen_sparse_signal(n: int, k: int, field: str, seed: SeedSpec) -> np.ndarray:
     """Exactly k-sparse signal with support uniform over k-subsets and standard
     normal amplitudes (real, or complex with E|x_j|^2 = 1), none of them zero."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    n, k = _integer("n", n, 1), _integer("k", k, 1, n)
     rng = seed.rng()
     support = rng.choice(n, size=k, replace=False)
     if field == REAL:
@@ -133,10 +127,7 @@ def gen_sparse_signal(n: int, k: int, field: str, seed: SeedSpec) -> np.ndarray:
 
 def gen_noise(m: int, epsilon_budget: float, seed: SeedSpec) -> np.ndarray:
     """Real noise vector drawn uniformly on the sphere ||w||_2 = epsilon_budget."""
-    if epsilon_budget < 0:
-        raise ValueError("epsilon_budget must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    epsilon_budget, m = _real("epsilon_budget", epsilon_budget), _integer("m", m, 1)
     if epsilon_budget == 0.0:
         return np.zeros(m)
     rng = seed.rng()
@@ -152,22 +143,24 @@ def gen_noise(m: int, epsilon_budget: float, seed: SeedSpec) -> np.ndarray:
 def normalize_bias(field: str, bias, m: int) -> dict:
     """Canonical bias spec for ``m`` measurements, checked against the field.
 
-    None picks the field default (constant c=1 for real, standard complex
-    Gaussian for complex) and a number c means the constant spec.  A real
-    constant needs c > 0, ``complex_gaussian`` a complex field, and a
-    ``vector`` spec's values (see ``model.array_to_json``) m finite entries,
-    real ones on the real field.
+    The one owner of the bias default and its spelling.  None picks the
+    field default (constant c=1 for real, standard complex Gaussian for
+    complex) and a number c means the constant spec, whose c is finite,
+    stored as a float and, on the real field, positive; a bool is refused as
+    either.  ``complex_gaussian`` needs a complex field, and a ``vector``
+    spec's values (see ``model.array_to_json``) m finite entries, real ones
+    on the real field.  A canonical spec comes back unchanged.
     """
     if bias is None:
         return {"kind": "constant", "c": 1.0} if field == REAL else {"kind": "complex_gaussian"}
-    if isinstance(bias, (int, float)):
+    if isinstance(bias, (int, float)) and not isinstance(bias, bool):
         bias = {"kind": "constant", "c": bias}
     if not isinstance(bias, dict) or "kind" not in bias:
         raise ValueError(f"unsupported bias spec {bias!r}")
     kind = bias["kind"]
     if kind == "constant":
         c = bias.get("c")
-        if not (isinstance(c, numbers.Real) and math.isfinite(c)):
+        if isinstance(c, bool) or not (isinstance(c, numbers.Real) and math.isfinite(c)):
             raise ValueError("constant bias needs a finite number 'c'")
         if field == REAL and c <= 0:
             raise ValueError("constant bias on the real field needs a positive 'c'")
@@ -233,8 +226,8 @@ def make_instance(
     w = gen_noise(m, epsilon, seed.child("w"))
     y = forward_model(ens, x0, w)
     ytilde = lifted_intensity(ens, x0) + w if with_intensity else None
-    meta = dict(ens.seed_meta)
-    meta.update(
+    # The ensemble is this call's own, so its metadata becomes the instance's.
+    ens.seed_meta.update(
         {
             "generator": "affinepr.instance.v1",
             "k": k,
@@ -243,7 +236,6 @@ def make_instance(
             **_MODELS,
         }
     )
-    ens = MeasurementEnsemble(field=ens.field, A=ens.A, b=ens.b, seed_meta=meta)
     return ProblemInstance(ensemble=ens, x0=x0, w=w, y=y, k=k, ytilde=ytilde)
 
 

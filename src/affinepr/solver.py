@@ -346,8 +346,7 @@ def bpdn(
     ``_thin_svd``, passed by callers that reuse one D.
     """
     opts = opts or SolverOptions()
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
+    epsilon = _real("epsilon", epsilon)
     D = _checked("D", D, (None, None))
     c = _checked("c", c, (D.shape[0],))
     if np.iscomplexobj(c) and not np.iscomplexobj(D):
@@ -733,6 +732,7 @@ def _select_report(outcomes, epsilon, scale: float) -> SolveReport:
 
 def _solve(ensemble, data, epsilon, opts, field: str, data_name: str) -> SolveReport:
     opts = opts or SolverOptions()
+    epsilon = _real("epsilon", epsilon)
     if ensemble.field != field:
         raise ValueError(f"{field} solver requires a {field} ensemble")
     if field == REAL and opts.mode != "magnitude":

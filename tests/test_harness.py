@@ -9,6 +9,7 @@ from affinepr import (
     ExperimentConfig,
     SeedSpec,
     SolverOptions,
+    gen_bias_complex,
     load_instance,
     make_instance,
     regenerate_instance,
@@ -21,7 +22,10 @@ from affinepr import (
     save_instance,
     wilson_interval,
 )
-from affinepr.harness import InstanceFormatError, run_cell
+from affinepr import harness
+from affinepr.harness import InstanceFormatError, generate_instance, run_cell
+from affinepr.rng import normalize_bias
+from affinepr.ripcheck import rip_ratio_sample, srip_profile
 
 SMALL_GRID = {
     "experiment": "phase_grid",
@@ -101,6 +105,8 @@ def test_config_validation_errors():
         ("master_seed", 1.5),
         ("epsilon_list", [0.0, float("nan")]),
         ("epsilon_list", [0.0, float("inf")]),
+        ("bias", True),
+        ("bias", {"kind": "constant", "c": True}),
     ],
     ids=[
         "float-n",
@@ -111,13 +117,16 @@ def test_config_validation_errors():
         "fractional-seed",
         "nan-epsilon",
         "inf-epsilon",
+        "bool-bias",
+        "bool-c",
     ],
 )
 def test_config_rejects_bad_grid_values_at_load(tmp_path, key, value):
     # Each used to load: the float counts and the negative seed then failed
     # with a TypeError (or a seed error) in the first trial, a fractional seed
     # ran on the truncated seed's streams, and a non-finite epsilon failed at
-    # its cell, after the earlier cells had run.
+    # its cell, after the earlier cells had run.  A bool bias, or a bool c,
+    # ran as the constant c = 1.
     grid = {**SMALL_GRID, key: value, "output_path": str(tmp_path / "grid.csv")}
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(grid)
@@ -194,6 +203,63 @@ def test_config_rejects_non_finite_bias_vector(tmp_path, field, values):
         ExperimentConfig.from_dict(grid)
     with pytest.raises(ValueError, match="bias vector"):
         run_phase_grid(ExperimentConfig(**{**grid, "solver": SolverOptions(**grid["solver"])}))
+    assert os.listdir(tmp_path) == []
+
+
+_CANONICAL_ONE = {"kind": "constant", "c": 1.0}
+
+
+@pytest.mark.parametrize(
+    "field, bias, canonical",
+    [
+        ("real", None, _CANONICAL_ONE),
+        ("real", 1, _CANONICAL_ONE),
+        ("real", {"kind": "constant", "c": 1}, _CANONICAL_ONE),
+        ("real", 2.5, {"kind": "constant", "c": 2.5}),
+        ("complex", None, {"kind": "complex_gaussian"}),
+        ("complex", 1, _CANONICAL_ONE),
+    ],
+    ids=["real-default", "real-int", "real-int-c", "real-float", "complex-default", "complex-int"],
+)
+def test_config_holds_the_canonical_bias(field, bias, canonical):
+    # A bias spelled 1 or with an int c used to load as spelled, under a digest
+    # of its own; a complex config without one held the real default.
+    data = {key: value for key, value in SMALL_GRID.items() if key != "bias"}
+    data["field"] = field
+    if bias is not None:
+        data["bias"] = bias
+    cfg = ExperimentConfig.from_dict(data)
+    assert cfg.bias == canonical == normalize_bias(field, bias, 24)
+    assert cfg.digest() == ExperimentConfig.from_dict({**data, "bias": canonical}).digest()
+
+
+def test_complex_config_without_bias_draws_the_complex_gaussian_bias():
+    # It used to draw the real default, the constant c / sqrt(m).
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "phase_grid", "field": "complex", "n": 8, "k_list": [1], "m_list": [6]}
+    )
+    b = generate_instance(cfg).ensemble.b
+    assert np.array_equal(b, gen_bias_complex(6, SeedSpec(0, ("gen", "bias"))))
+
+
+@pytest.mark.parametrize(
+    "changes, name",
+    [
+        ({"output_path": 5}, "output_path"),
+        ({"experiment": "noise_curve"}, "m_list"),
+        ({"experiment": "impossibility"}, "m_list"),
+        ({"experiment": "srip"}, "m_list"),
+        ({"experiment": "ripmap", "m_list": [24], "k_list": [2, 3]}, "k_list"),
+    ],
+    ids=["int-output_path", "curve-m", "impossibility-m", "srip-m", "ripmap-k"],
+)
+def test_config_rejects_bad_output_path_and_second_cell(tmp_path, monkeypatch, changes, name):
+    # Each used to load: an int output path failed with a TypeError before
+    # the first cell, and a single-cell experiment ran on the first m and k
+    # of longer lists without notice.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig.from_dict({**SMALL_GRID, **changes})
     assert os.listdir(tmp_path) == []
 
 
@@ -482,6 +548,25 @@ def test_run_srip_and_ripmap_smoke():
     )
     est = run_ripmap(cfg2)
     assert 0 < est.lower_hat <= est.upper_hat
+
+
+@pytest.mark.parametrize("experiment", ["srip", "ripmap"])
+def test_isometry_experiments_draw_only_the_ensemble(monkeypatch, experiment):
+    # They used to draw a whole instance (x0, w, y) to read its A and b.
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": experiment, "n": 12, "k_list": [2], "m_list": [10], "trials_per_cell": 5}
+    )
+    seed = SeedSpec(0, (experiment, 10, 2))
+    ens = make_instance("real", 12, 2, 10, seed).ensemble
+    monkeypatch.setattr(harness, "make_instance", None)
+    monkeypatch.setattr(harness, "_instance", None)
+    if experiment == "srip":
+        want = srip_profile(ens.A, 2, 5, seed.child("profileA"))
+        got = run_srip(cfg)[0]
+    else:
+        want = rip_ratio_sample(ens.A, ens.b, 2, 5, seed)
+        got = run_ripmap(cfg)
+    assert (got.lower_hat, got.upper_hat, got.samples) == (want.lower_hat, want.upper_hat, want.samples)
 
 
 def test_run_lemma_suite_clean():

@@ -80,6 +80,11 @@ _h3 = np.ones(3, dtype=complex)
             id="nan-H",
         ),
         pytest.param("H", lambda: moment_bound_check(_H2[:2], _h3, 1.0, 1000, SeedSpec(5)), id="short-H"),
+        pytest.param("samples", lambda: moment_bound_check(_H2, _h3, 1.0, 999, SeedSpec(5)), id="few-samples"),
+        pytest.param(
+            "samples", lambda: moment_bound_check(_H2, _h3, 1.0, 1000.5, SeedSpec(5)), id="float-samples"
+        ),
+        pytest.param("samples", lambda: moment_bound_check(_H2, _h3, 1.0, True, SeedSpec(5)), id="bool-samples"),
         pytest.param(
             "h", lambda: moment_bound_check(_H2, np.array([1, np.inf, 0j]), 1.0, 1000, SeedSpec(5)), id="inf-h"
         ),

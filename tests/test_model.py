@@ -107,8 +107,10 @@ def test_best_k_term_examples():
     assert best_k_term_error(np.array([3.0, 2.0, 1.0]), 2, p=1) == pytest.approx(1.0)
     assert best_k_term_error(np.array([3.0, -4.0, 1.0]), 1, p=2) == pytest.approx(np.sqrt(10))
     assert best_k_term_error(np.array([0.0, 5.0, 0.0]), 1, p=1) == 0.0
-    with pytest.raises(ValueError):
-        best_k_term_error(np.zeros(3), 4)
+    # 1.5 used to fail inside numpy with a TypeError, and True ran as 1.
+    for k in (4, 1.5, True):
+        with pytest.raises(ValueError, match="^k "):
+            best_k_term_error(np.zeros(3), k)
 
 
 def test_best_k_term_tie_break_keeps_lowest_index():

@@ -393,6 +393,13 @@ def _bad_inputs():
         "lifted_map_apply-nan-H": ("H", lambda: lifted_map_apply(A, b, spoil(H, (2, 2), np.nan), x)),
         "lifted_map_apply-inf-h": ("h", lambda: lifted_map_apply(A, b, H, spoil(x, 4, -np.inf))),
         "lifted_map_apply-short-b": ("b", lambda: lifted_map_apply(A, b[:-1], H, x)),
+        "srip_profile-bool-trials": ("trials", lambda: srip_profile(A, 2, True, seed)),
+        "srip_profile-float-k": ("k", lambda: srip_profile(A, 2.0, 5, seed)),
+        "srip_profile-large-k": ("k", lambda: srip_profile(A, 6, 5, seed, last_coord_free=True)),
+        "rip_ratio_sample-float-trials": ("trials", lambda: rip_ratio_sample(A, b, 2, 2.5, seed)),
+        "rip_ratio_sample-bool-k": ("k", lambda: rip_ratio_sample(A, b, True, 5, seed)),
+        "crossterm_sup-float-k": ("k", lambda: crossterm_sup(A, b, 2.0)),
+        "crossterm_sup-zero-k": ("k", lambda: crossterm_sup(A, b, 0)),
     }
     return [pytest.param(name, call, id=case) for case, (name, call) in cases.items()]
 

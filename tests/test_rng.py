@@ -104,6 +104,42 @@ def test_seed_spec_rejects_non_seeds(seed):
         SeedSpec(seed)
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("m", lambda: gen_real_gaussian_matrix(4.0, 3, SeedSpec(1))),
+        ("n", lambda: gen_complex_gaussian_matrix(4, True, SeedSpec(1))),
+        ("m", lambda: gen_bias_real(4.5)),
+        ("c", lambda: gen_bias_real(4, True)),
+        ("m", lambda: gen_bias_complex(2.0, SeedSpec(1))),
+        ("n", lambda: gen_sparse_signal(8.0, 2, "real", SeedSpec(1))),
+        ("k", lambda: gen_sparse_signal(8, True, "real", SeedSpec(1))),
+        ("k", lambda: gen_sparse_signal(8, 2.0, "real", SeedSpec(1))),
+        ("m", lambda: gen_noise(5.0, 0.1, SeedSpec(1))),
+        ("epsilon_budget", lambda: gen_noise(5, True, SeedSpec(1))),
+        ("epsilon_budget", lambda: gen_noise(5, float("inf"), SeedSpec(1))),
+    ],
+    ids=[
+        "float-m-real",
+        "bool-n-complex",
+        "fractional-m-bias",
+        "bool-c",
+        "float-m-complex-bias",
+        "float-n-signal",
+        "bool-k",
+        "float-k",
+        "float-m-noise",
+        "bool-epsilon",
+        "inf-epsilon",
+    ],
+)
+def test_generators_reject_bad_counts_and_scales(name, call):
+    # The floats used to fail inside numpy with a TypeError (or a message that
+    # named no argument); True ran as 1, and an infinite budget drew inf noise.
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call()
+
+
 def test_seed_spec_accepts_numpy_integers():
     assert SeedSpec(np.uint64(7), ("x",)).derive() == SeedSpec(7, ("x",)).derive()
 

@@ -251,6 +251,109 @@ def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
             assert not chains[0][1]
 
 
+def test_lasso_path_stops_at_its_cap():
+    # A real m < n call takes ~m path steps; a cap of 1 cuts it after the first.
+    rng = np.random.default_rng(98)
+    res = bpdn(rng.standard_normal((6, 12)), rng.standard_normal(6), 0.0, SolverOptions(inner_max=1))
+    assert (res.iterations, res.converged) == (1, False)
+
+
+def _recording_bpdn(monkeypatch, calls, probe_capped=False):
+    """Patch solver.bpdn to append (right-hand side bytes, cap, result) of each
+    call to ``calls``; with ``probe_capped`` a flip probe reports itself cut
+    at its cap."""
+    real_bpdn = solver.bpdn
+
+    def recording(D, c, epsilon, opts, **kwargs):
+        res = real_bpdn(D, c, epsilon, opts, **kwargs)
+        if probe_capped and opts.inner_max == solver._PROBE_CAP:
+            res = solver.BpdnResult(res.x, solver._PROBE_CAP, False)
+        calls.append((np.asarray(c).tobytes(), opts.inner_max, res))
+        return res
+
+    monkeypatch.setattr(solver, "bpdn", recording)
+
+
+def test_outer_step_cut_at_its_cap_is_solved_again(monkeypatch):
+    # An outer step whose pattern is a fixed point but whose call stopped at
+    # the cap is solved again, on the same right-hand side, with the full
+    # budget.  At the real cap of 600 no m < n call here reaches it.
+    monkeypatch.setattr(solver, "_OUTER_CAP", 5)
+    calls = []
+    _recording_bpdn(monkeypatch, calls)
+    opts = SolverOptions(restarts=2, restart_seed=3)
+    full = 0
+    for t in range(6):
+        inst = make_instance("real", 24, 2, 16, SeedSpec(97, (16, t)), bias=1.0)
+        calls.clear()
+        solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+        for (c_before, cap, before), (c, full_cap, _) in zip(calls, calls[1:]):
+            if full_cap == opts.inner_max:
+                full += 1
+                assert c == c_before and cap == 5
+                assert before.iterations == 5 and not before.converged
+    assert full > 0
+
+
+def test_improving_probe_cut_at_its_cap_is_solved_again(monkeypatch):
+    # No real probe reaches its cap of 300 here, so every probe reports that it
+    # did: each one that improves the key is solved once more, on the same
+    # right-hand side, with the full budget, and that solve's result is kept.
+    calls, descents = [], []
+    _recording_bpdn(monkeypatch, calls, probe_capped=True)
+    real_flip = solver._flip_descent
+
+    def flip_descent(*args, **kwargs):
+        start = len(calls)
+        out = real_flip(*args, **kwargs)
+        descents.append((args[5], out, calls[start:]))
+        return out
+
+    monkeypatch.setattr(solver, "_flip_descent", flip_descent)
+    opts = SolverOptions(restarts=2, restart_seed=3)
+    resolved = 0
+    for t in range(3):
+        inst = make_instance("real", 24, 2, 16, SeedSpec(97, (16, t)), bias=1.0)
+        solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
+    for start, out, made in descents:
+        full = [i for i, (_, cap, _) in enumerate(made) if cap == opts.inner_max]
+        resolved += len(full)
+        assert all(i > 0 and made[i - 1][1] == solver._PROBE_CAP for i in full)
+        assert all(made[i - 1][0] == made[i][0] for i in full)
+        if out.xhat is not start.xhat:
+            assert any(made[i][2].x is out.xhat for i in full)
+    assert resolved > 0
+
+
+def test_complex_solve_runs_random_restart_chains():
+    # Chains 0 and 1 start from the bias anchor; chain 2 from a random phase pattern.
+    inst = make_instance("complex", 16, 1, 40, SeedSpec(99))
+    opts = SolverOptions(restarts=3, restart_seed=4)
+    first = solve_affine_pr_complex(inst.ensemble, inst.y, 0.0, opts)
+    again = solve_affine_pr_complex(inst.ensemble, inst.y, 0.0, opts)
+    assert len(first.burn_in_levels) == 3
+    assert first.xhat.tobytes() == again.xhat.tobytes()
+    assert (first.objective, first.feasibility, first.trace, first.restart_index_of_best) == (
+        again.objective,
+        again.feasibility,
+        again.trace,
+        again.restart_index_of_best,
+    )
+
+
+@pytest.mark.parametrize("epsilon", [True, float("inf"), "0.1"], ids=["bool", "inf", "str"])
+def test_bpdn_and_solvers_reject_bad_epsilon(epsilon):
+    # bpdn and the real solver took True as 1 and bpdn took inf as "return 0";
+    # the string failed mid-solve with a TypeError.
+    with pytest.raises(ValueError, match="^epsilon "):
+        bpdn(np.eye(3), np.ones(3), epsilon)
+    real = make_instance("real", 8, 1, 12, SeedSpec(16), bias=1.0)
+    cplx = make_instance("complex", 8, 1, 12, SeedSpec(17))
+    for solve, inst in ((solve_affine_pr_real, real), (solve_affine_pr_complex, cplx)):
+        with pytest.raises(ValueError, match="^epsilon "):
+            solve(inst.ensemble, inst.y, epsilon, FAST)
+
+
 def _assert_bpdn_optimal(D, c, eps, x):
     """KKT conditions of min ||x||_1 s.t. ||D x - c|| <= eps at an active constraint."""
     tol = 1e-9 * (1 + np.linalg.norm(c))
