@@ -1,6 +1,6 @@
 """Measure the homotopy burn-in of one source tree.
 
-    python3 scripts/burnin_profile.py SRC timing [SOLVES]
+    python3 scripts/burnin_profile.py SRC timing [CELL]
     python3 scripts/burnin_profile.py SRC complex-levels [TRIALS]
     python3 scripts/burnin_profile.py SRC settle-levels [TRIALS [M]]
 
@@ -8,11 +8,17 @@ SRC is a ``src`` directory holding an ``affinepr`` package; the package is
 imported from there only.  Set ``OPENBLAS_NUM_THREADS`` in the environment to
 measure a BLAS thread count.  Each mode prints one JSON object.
 
-``timing`` solves SOLVES (default 12) real instances per m in 40, 100 and
-160 (n=64, k=3, constant bias c=1, ``restarts=2``, seeds ``("burnin", m, t)``)
-after one warm-up solve, and reports the median ms per solve spent inside
-``solver._homotopy_burn_in`` and in the whole solve, and the median and
-total burn-in levels per chain that ran.
+``timing`` runs one real grid cell per m in 40, 100 and 160 (n=64, k=3,
+constant bias c=1, ``restarts=2``, ``restart_seed=1``, CELL trials, default
+24, master seed 0) through ``harness.run_cell`` after one warm-up cell.  Per
+cell it reports the ms spent in ``solver._homotopy_burn_in`` inside
+``solver.burn_in_block`` (the lockstep blocks) and outside it (the stacks of
+one a solve runs for a chain that had no burn-in handed over), the cell's
+ms, the median and total burn-in levels per chain that ran, and the same
+cell solved trial by trial without ``burn_in=`` (every burn-in a stack of
+one).  A second run of the cell under ``tracemalloc`` gives the peak of
+Python allocations inside ``run_cell``, to recheck the block size
+(``harness._BLOCK_ENTRIES``) against the memory it holds.
 
 ``complex-levels`` replays the burn-in of both anchor chains for TRIALS
 (default 100) instances of acceptance criterion 3's cell, read from
@@ -21,8 +27,9 @@ total burn-in levels per chain that ran.
 A x = u*y - b recorded.  For each residual tolerance it reports how many
 trials reach it at some level, the first such level, and in how many of
 them that level's direct solve already recovers x0 (the harness's
-global-phase success test).  Needs a tree whose burn-in takes the
-``certify`` and ``floor`` arguments and calls ``solver._direct``.
+global-phase success test).  Needs a tree whose burn-in runs on stacks
+(A of shape (T, m, n)), takes the ``certify`` and ``floor`` arguments and
+calls ``solver._direct``.
 
 ``settle-levels`` replays the burn-in of both anchor chains for TRIALS
 (default 100) instances of acceptance criterion 2's cell at M measurements
@@ -32,7 +39,7 @@ global-phase success test).  Needs a tree whose burn-in takes the
 again to ``solver._SETTLED_FLOOR``.  Per seed and schedule it reports the
 distribution of the level at which the pattern last changed, and in how
 many chains the run to the settled floor ends on the full run's pattern.
-Needs a tree whose burn-in takes the ``floor`` argument.
+Needs a tree whose burn-in runs on stacks and takes the ``floor`` argument.
 """
 
 from __future__ import annotations
@@ -63,43 +70,87 @@ def quartiles(values) -> list:
     return [float(q) for q in np.percentile(values, [0, 25, 50, 75, 100])] if values else None
 
 
-def timing(solves: int) -> dict:
-    from affinepr import SeedSpec, SolverOptions, make_instance, solve_affine_pr_real
-    from affinepr import solver
+def timing(trials: int) -> dict:
+    import tracemalloc
 
-    inner = solver._homotopy_burn_in
-    spent = []
+    from affinepr import SeedSpec, harness, solver
 
-    def timed(*args):
+    inner, block = solver._homotopy_burn_in, solver.burn_in_block
+    spent = {"lockstep": 0.0, "stack_of_one": 0.0}
+    where = ["stack_of_one"]
+
+    def timed_burn_in(*args):
         t0 = time.perf_counter()
         try:
             return inner(*args)
         finally:
-            spent.append(time.perf_counter() - t0)
+            spent[where[0]] += time.perf_counter() - t0
 
-    solver._homotopy_burn_in = timed
-    opts = SolverOptions(restarts=2, restart_seed=1)
-    warm = make_instance("real", 64, 3, 100, SeedSpec(0, ("burnin", "warm")), bias=1.0)
-    solve_affine_pr_real(warm.ensemble, warm.y, 0.0, opts)
+    def timed_block(*args, **kwargs):
+        where[0] = "lockstep"
+        try:
+            return block(*args, **kwargs)
+        finally:
+            where[0] = "stack_of_one"
+
+    solver._homotopy_burn_in = timed_burn_in
+    harness.burn_in_block = timed_block
+    levels = []
+    real_solve = harness.solve_affine_pr_real
+
+    def solve(*args, **kwargs):
+        rep = real_solve(*args, **kwargs)
+        levels.extend(rep.burn_in_levels)
+        return rep
+
+    harness.solve_affine_pr_real = solve
+
+    def config(m):
+        return harness.ExperimentConfig.from_dict(
+            {
+                "experiment": "phase_grid",
+                "n": 64,
+                "k_list": [3],
+                "m_list": [m],
+                "trials_per_cell": trials,
+                "bias": {"kind": "constant", "c": 1.0},
+                "master_seed": 0,
+                "solver": {"restarts": 2, "restart_seed": 1},
+            }
+        )
+
+    harness.run_cell(config(100), 100, 3, 0.0)  # warm-up
     out = {}
     for m in (40, 100, 160):
-        solve_ms, burn_ms, levels = [], [], []
-        for t in range(solves):
-            inst = make_instance("real", 64, 3, m, SeedSpec(0, ("burnin", m, t)), bias=1.0)
-            spent.clear()
-            t0 = time.perf_counter()
-            rep = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
-            solve_ms.append(1e3 * (time.perf_counter() - t0))
-            burn_ms.append(1e3 * sum(spent))
-            levels += rep.burn_in_levels
-        out[f"m={m}"] = {
-            "solves": solves,
-            "solve_ms_p50": statistics.median(solve_ms),
-            "burn_in_ms_p50": statistics.median(burn_ms),
+        cfg = config(m)
+        for key in spent:
+            spent[key] = 0.0
+        levels.clear()
+        t0 = time.perf_counter()
+        harness.run_cell(cfg, m, 3, 0.0)
+        cell_ms = 1e3 * (time.perf_counter() - t0)
+        row = {
+            "trials": trials,
+            "block": max(1, harness._BLOCK_ENTRIES // (m * cfg.n)),
+            "cell_ms": cell_ms,
+            "burn_in_ms_lockstep": 1e3 * spent["lockstep"],
+            "burn_in_ms_stacks_of_one": 1e3 * spent["stack_of_one"],
             "chains": len(levels),
             "levels_per_chain_p50": statistics.median(levels),
             "levels_total": sum(levels),
         }
+        spent["stack_of_one"] = 0.0
+        t0 = time.perf_counter()
+        for t in range(trials):
+            seed = SeedSpec(cfg.master_seed, ("phase_grid", m, 3, repr(0.0), t))
+            harness.solve_instance(harness._instance(cfg, 3, m, seed), 0.0, cfg.solver)
+        row["alone_cell_ms"] = 1e3 * (time.perf_counter() - t0)
+        row["alone_burn_in_ms"] = 1e3 * spent["stack_of_one"]
+        tracemalloc.start()
+        harness.run_cell(cfg, m, 3, 0.0)
+        row["run_cell_tracemalloc_peak_kb"] = tracemalloc.get_traced_memory()[1] / 1024
+        tracemalloc.stop()
+        out[f"m={m}"] = row
     return out
 
 
@@ -129,9 +180,8 @@ def complex_levels(trials: int) -> dict:
             A, b = inst.ensemble.A, inst.ensemble.b
             calls.clear()
             u0, svd = solver._unit_pattern(b), solver._thin_svd(A)
-            full = solver._homotopy_burn_in(
-                A, b, inst.y, u0, 0, schedule, svd, True, solver._FLOOR
-            )[2]
+            stack = (a[None] for a in (A, b, inst.y, u0))
+            full = solver._homotopy_burn_in(*stack, 0, schedule, [svd], True, solver._FLOOR)[0][2]
             tol_x0 = 1e-5 * (1.0 + float(np.linalg.norm(inst.x0)))
             for tol in RESIDUAL_TOLS:
                 for level, (rel, x) in enumerate(calls, start=1):
@@ -161,7 +211,7 @@ def settle_levels(trials: int, m: int) -> dict:
 
     def recording(v):
         u = unit_pattern(v)
-        patterns.append(u)
+        patterns.append(u[0])  # the burn-in runs each trial as a stack of one
         return u
 
     solver._unit_pattern = recording
@@ -175,9 +225,10 @@ def settle_levels(trials: int, m: int) -> dict:
                 A, b, y = inst.ensemble.A, inst.ensemble.b, inst.y
                 u0, svd = unit_pattern(b), solver._thin_svd(A)
                 patterns.clear()
+                stack = [a[None] for a in (A, b, y, u0)]
                 _, full_u, full, _ = solver._homotopy_burn_in(
-                    A, b, y, u0, 0, schedule, svd, False, solver._FLOOR
-                )
+                    *stack, 0, schedule, [svd], False, solver._FLOOR
+                )[0]
                 # An unfrozen burn-in computes the pattern before each of its
                 # ISTA steps and once at the end, so after level L it is
                 # patterns[L * steps].
@@ -189,8 +240,8 @@ def settle_levels(trials: int, m: int) -> dict:
                     last -= 1
                 settle.append(last)
                 _, settled_u, short, _ = solver._homotopy_burn_in(
-                    A, b, y, u0, 0, schedule, svd, False, solver._SETTLED_FLOOR
-                )
+                    *stack, 0, schedule, [svd], False, solver._SETTLED_FLOOR
+                )[0]
                 same += bool(np.array_equal(settled_u, full_u))
             out[f"seed={master} {name}"] = {
                 "chains": trials,
@@ -211,7 +262,7 @@ def main(argv: list) -> int:
     sys.path.insert(0, os.path.abspath(argv[0]))
     count = int(argv[2]) if len(argv) >= 3 else None
     if argv[1] == "timing":
-        result = timing(count or 12)
+        result = timing(count or 24)
     elif argv[1] == "complex-levels":
         result = complex_levels(count or 100)
     else:

@@ -32,7 +32,14 @@ from .model import (
 )
 from .rng import SeedSpec, make_ensemble, make_instance, normalize_bias
 from .ripcheck import rip_ratio_sample, srip_profile
-from .solver import SolveReport, SolverOptions, solve_affine_pr_complex, solve_affine_pr_real
+from .solver import (
+    BurnIn,
+    SolveReport,
+    SolverOptions,
+    burn_in_block,
+    solve_affine_pr_complex,
+    solve_affine_pr_real,
+)
 
 EXPERIMENTS = (
     "phase_grid",
@@ -49,6 +56,12 @@ _SINGLE_CELL = ("noise_curve", "impossibility", "srip", "ripmap")
 _CELL_COLUMNS = ("trials", "successes", "wilson_lo", "wilson_hi", "median_err", "median_phase_err")
 
 _SUCCESS_TOL = 1e-5  # success: relative error, or global-phase error / (1 + ||x0||) if complex
+
+# A cell's trials run in blocks of as many as fit in this many matrix entries
+# (m n each): 24 at m = 40, 10 at m = 100 and 6 at m = 160 for n = 64.  Each
+# block's burn-ins run in lockstep (solver.burn_in_block); larger blocks hold
+# more stacked matrices and SVDs at once.
+_BLOCK_ENTRIES = 2**16
 
 
 class InstanceFormatError(ValueError):
@@ -204,23 +217,28 @@ def generate_instance(config: ExperimentConfig) -> ProblemInstance:
     return _instance(config, config.k_list[0], config.m_list[0], seed, config.epsilon_list[0])
 
 
-def solve_instance(inst: ProblemInstance, epsilon: float, opts: SolverOptions) -> SolveReport:
-    """Solve ``inst`` with the solver of its field, from its magnitudes ``y``,
-    or from its intensities ``ytilde`` when ``opts.mode`` is "intensity"."""
-    data = inst.y
-    if opts.mode == "intensity":
-        if inst.ytilde is None:
-            raise ValueError("intensity mode needs intensities (ytilde); this instance has none")
-        data = inst.ytilde
+def _solve_data(inst: ProblemInstance, opts: SolverOptions):
+    """The data a solve of ``inst`` reads: its magnitudes ``y``, or its
+    intensities ``ytilde`` when ``opts.mode`` is "intensity"."""
+    if opts.mode != "intensity":
+        return inst.y
+    if inst.ytilde is None:
+        raise ValueError("intensity mode needs intensities (ytilde); this instance has none")
+    return inst.ytilde
+
+
+def solve_instance(
+    inst: ProblemInstance, epsilon: float, opts: SolverOptions, *, burn_in: BurnIn | None = None
+) -> SolveReport:
+    """Solve ``inst`` with the solver of its field, from ``_solve_data``;
+    ``burn_in`` is its ``BurnIn`` from ``solver.burn_in_block``."""
+    data = _solve_data(inst, opts)
     if inst.ensemble.field == REAL:
-        return solve_affine_pr_real(inst.ensemble, data, epsilon, opts)
-    return solve_affine_pr_complex(inst.ensemble, data, epsilon, opts)
+        return solve_affine_pr_real(inst.ensemble, data, epsilon, opts, burn_in=burn_in)
+    return solve_affine_pr_complex(inst.ensemble, data, epsilon, opts, burn_in=burn_in)
 
 
-def _run_trial(config: ExperimentConfig, m: int, k: int, epsilon: float, trial: int) -> TrialResult:
-    seed = SeedSpec(config.master_seed, (config.experiment, m, k, repr(float(epsilon)), trial))
-    inst = _instance(config, k, m, seed, epsilon)
-    report = solve_instance(inst, epsilon, config.solver)
+def _trial_result(config: ExperimentConfig, inst: ProblemInstance, report: SolveReport):
     met = error_metrics(report.xhat, inst.x0)
     gap = report.objective - float(np.sum(np.abs(inst.x0)))
     if config.field == REAL:
@@ -230,8 +248,29 @@ def _run_trial(config: ExperimentConfig, m: int, k: int, epsilon: float, trial: 
     return TrialResult(met.plain_l2, met.relative_plain, met.global_phase, gap, success)
 
 
+def _run_block(config: ExperimentConfig, m: int, k: int, epsilon: float, trials: range) -> list:
+    """Results of a block of a cell's trials: one lockstep ``burn_in_block``,
+    then one solve per trial with its burn-in handed over."""
+    opts = config.solver
+    cell = (config.experiment, m, k, repr(float(epsilon)))
+    seeds = [SeedSpec(config.master_seed, cell + (t,)) for t in trials]
+    insts = [_instance(config, k, m, seed, epsilon) for seed in seeds]
+    datas = [_solve_data(inst, opts) for inst in insts]
+    burn_ins = burn_in_block([inst.ensemble for inst in insts], datas, epsilon, opts)
+    return [
+        _trial_result(config, inst, solve_instance(inst, epsilon, opts, burn_in=burn_in))
+        for inst, burn_in in zip(insts, burn_ins)
+    ]
+
+
 def run_cell(config: ExperimentConfig, m: int, k: int, epsilon: float) -> tuple[CellResult, list]:
-    trials = [_run_trial(config, m, k, epsilon, t) for t in range(config.trials_per_cell)]
+    """The cell's trials, in blocks of ``_BLOCK_ENTRIES`` matrix entries; a
+    block's instances, SVDs and burn-ins are released before the next is built."""
+    count = config.trials_per_cell
+    block = max(1, _BLOCK_ENTRIES // (m * config.n))
+    trials = []
+    for start in range(0, count, block):
+        trials += _run_block(config, m, k, epsilon, range(start, min(start + block, count)))
     cell = CellResult(
         m=m,
         k=k,

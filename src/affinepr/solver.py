@@ -48,6 +48,16 @@ unique, so the first restart chain that ends at one is the answer and no
 later chain runs.  A noiseless real burn-in with rank(A) < n ends four
 decades of lam down, not seven: the outer loop reads only its sign pattern,
 which has settled by then.
+
+The burn-in runs in lockstep on a stack of trials that share m, n and the
+field; a single solve's burn-in is a stack of one.  ``burn_in_block`` takes
+a block of trials (the harness sizes it at 2^16 matrix entries), checks
+every input, computes each trial's SVD once, and runs one stacked burn-in
+per restart chain that is sure to run: only the first where the chain stop
+can fire, every chain otherwise.  Each trial's solve is handed its SVD and
+burn-ins as ``burn_in=``; a chain without one runs its burn-in as a stack
+of one.  A stacked matmul makes one gemv per matrix and norms are taken per
+trial, so every trial gets the bytes of a solve on its own.
 """
 
 from __future__ import annotations
@@ -125,7 +135,8 @@ class SolveReport:
     clipped_intensities: int = 0
     # Burn-in levels of each restart chain that ran (its schedule down to its
     # floor unless it stopped early); fewer than ``restarts`` after a chain
-    # stop (``_solve_restarts``).
+    # stop (``_solve_restarts``).  The same whether the chain's burn-in ran in
+    # a lockstep block (``burn_in_block``) or as the solve's own stack of one.
     burn_in_levels: list = dc_field(default_factory=list)
 
 
@@ -313,6 +324,11 @@ def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
     return x, steps, _certified(x, cert)
 
 
+def _mv(M, v):
+    """The rows M[t] @ v[t] of a stack: one gemv per matrix, byte-equal to that product."""
+    return np.matmul(M, v[..., None])[..., 0]
+
+
 def _direct(D, c, svd: _Svd) -> BpdnResult:
     """D^+ c for rank(D) = n, converged only if its residual is within _FIT_TOL (1 + ||c||)."""
     U, s, Vh = svd
@@ -480,9 +496,12 @@ _SETTLED_FLOOR = 1e-4
 
 
 def _homotopy_burn_in(
-    A, b, y_target, u0, freeze_levels, schedule: _Schedule, svd: _Svd, certify: bool, floor: float
+    A, b, y_target, u0, freeze_levels, schedule: _Schedule, svds, certify: bool, floor: float
 ):
-    """Proximal-gradient homotopy that forms the support and sign pattern.
+    """Proximal-gradient homotopy that forms the support and sign pattern, run
+    in lockstep on a stack of T trials: A is (T, m, n); b, y_target and u0
+    are (T, m); ``svds`` holds each trial's ``_thin_svd``.  A single solve's
+    burn-in is a stack of one.
 
     Runs ISTA steps on 0.5 ||A x - (u*y - b)||^2 + lam ||x||_1 while the
     unit pattern u is refreshed from A x + b after every step, shrinking
@@ -494,25 +513,49 @@ def _homotopy_burn_in(
     magnitude is below y/(1 + schedule.trust) are dropped: their pattern
     estimate is uninformative.
 
-    With ``certify`` it returns after the first unfrozen level whose pattern
-    u passes ``_direct``'s test on A x = u*y - b, together with that direct
-    solve.  Returns (x, u, levels run, the certified ``BpdnResult`` or None).
+    With ``certify`` (every trial then has rank n) a trial stops after the
+    first unfrozen level whose pattern u passes ``_direct``'s test on
+    A x = u*y - b, together with that direct solve.  A trial leaves the
+    stack when it stops, when its schedule ends, or before the first step
+    when lam0 = 0 or A = 0.  The rows that stay then move to the front of A
+    in place, so a caller builds A for one call and never reuses it (a stack
+    of one is never moved); b, y_target and u0 are not written.  Each
+    trial's arithmetic is that of a stack of one: products are stacked gemvs
+    (``_mv``), the rest is elementwise or per row.  Returns one (x, u, levels
+    run, the certified ``BpdnResult`` or None) per trial.
     """
-    m, n = A.shape
-    Ah = A.conj().T
-    lip = float(svd.s[0]) ** 2 if svd.s.size else 0.0
-    if lip == 0.0:
-        return np.zeros(n, dtype=A.dtype), u0, 0, None
-    step = 1.0 / lip
-    x = np.zeros(n, dtype=A.dtype)
+    T, n = A.shape[0], A.shape[2]
+    out = [None] * T
+    lip = np.array([float(svd.s[0]) ** 2 if svd.s.size else 0.0 for svd in svds])
+    step = np.divide(1.0, lip, out=np.zeros(T), where=lip > 0.0)
+    x = np.zeros((T, n), dtype=A.dtype)
     u = u0
-    lam = float(np.max(np.abs(Ah @ (u * y_target - b)), initial=0.0))
-    if lam == 0.0:
-        return x, u, 0, None
+    Ah = A.conj().transpose(0, 2, 1)  # a view when A is real
+    lam = np.max(np.abs(_mv(Ah, u * y_target - b)), axis=1, initial=0.0)
     lam_min = floor * lam
+    v = _mv(A, x) + b
+    trial = np.arange(T)  # the caller's index of each row
+    certified = [None] * T
+    leave = (lip == 0.0) | (lam == 0.0)
     level = 0
-    v = A @ x + b
-    while lam > lam_min:
+    while True:
+        if leave.any():
+            u_end = u if level == 0 else _unit_pattern(v)
+            for j in np.flatnonzero(leave):
+                out[trial[j]] = (x[j], u_end[j], level, certified[j])
+            keep = ~leave
+            if not keep.any():
+                return out
+            trial, b, y_target, u, x, v, step, lam, lam_min = (
+                a[keep] for a in (trial, b, y_target, u, x, v, step, lam, lam_min)
+            )
+            # Move the rows that stay to the front of A, in place: a copy of
+            # the stack would raise the block's peak memory by as much again.
+            for i, j in enumerate(np.flatnonzero(keep)):
+                if i != j:
+                    A[i] = A[j]
+            A = A[: trial.size]
+            Ah = A.conj().transpose(0, 2, 1)
         frozen = level < freeze_levels
         for _ in range(schedule.steps):
             if not frozen:
@@ -520,16 +563,18 @@ def _homotopy_burn_in(
             resid = v - u * y_target
             if not frozen:
                 resid = resid * (np.abs(v) >= y_target / (1.0 + schedule.trust))
-            x = _soft_threshold(x - step * (Ah @ resid), step * lam)
-            v = A @ x + b
-        lam *= schedule.shrink
+            x = _soft_threshold(x - step[:, None] * _mv(Ah, resid), (step * lam)[:, None])
+            v = _mv(A, x) + b
+        lam = lam * schedule.shrink
         level += 1
+        leave = lam <= lam_min
+        certified = [None] * trial.size
         if certify and not frozen:
             u = _unit_pattern(v)
-            res = _direct(A, u * y_target - b, svd)
-            if res.converged:
-                return x, u, level, res
-    return x, _unit_pattern(v), level, None
+            c = u * y_target - b
+            tests = [_direct(A[j], c[j], svds[t]) for j, t in enumerate(trial)]
+            certified = [res if res.converged else None for res in tests]
+            leave |= np.array([res.converged for res in tests])
 
 
 def _stopped_at_cap(res: BpdnResult, capped: SolverOptions, opts: SolverOptions) -> bool:
@@ -537,21 +582,17 @@ def _stopped_at_cap(res: BpdnResult, capped: SolverOptions, opts: SolverOptions)
     return not res.converged and capped.inner_max <= res.iterations < opts.inner_max
 
 
-def _run_restart(
-    A, b, epsilon, opts, u0, freeze_levels, schedule, feas_fn, y_target, svd: _Svd, unique, floor
-):
-    """Burn-in followed by the alternating constrained iteration.
+def _run_restart(A, b, epsilon, opts, burn_in, feas_fn, y_target, svd: _Svd):
+    """The alternating constrained iteration from a chain's burn-in, the
+    (x, u, levels, certified) of ``_homotopy_burn_in``.
 
     Each outer step solves its pattern once, with the inner call capped at
     600 (complex ADMM would burn its full budget on a wrong, infeasible
     pattern); a candidate fixed point cut at that cap is solved again with
-    the full budget.  ``unique`` (see ``_solve_restarts``) lets the burn-in
-    stop at the first pattern that passes the direct test; that test's
-    solve is then the first outer step's.  ``floor`` is the burn-in's.
+    the full budget.  A burn-in that stopped at a pattern passing the direct
+    test hands over that test's solve as the first outer step's.
     """
-    x, u, levels, certified = _homotopy_burn_in(
-        A, b, y_target, u0, freeze_levels, schedule, svd, unique, floor
-    )
+    x, u, levels, certified = burn_in
     capped = replace(opts, inner_max=min(_OUTER_CAP, opts.inner_max))
     inner_total = 0
     trace = []
@@ -682,7 +723,17 @@ def _restart_chains(A, b, opts):
     return chains
 
 
-def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target, scale: float):
+def _chain_rule(A, epsilon: float, svd: _Svd) -> tuple[bool, float]:
+    """(unique, floor) of a solve on A: whether an exact fit of y is unique, so
+    that the first chain ending at one stops the solve, and the burn-in's floor."""
+    m, n = A.shape
+    noiseless_real = epsilon == 0.0 and not np.iscomplexobj(A)
+    unique = noiseless_real and svd.s.size == n < m
+    floor = _SETTLED_FLOOR if noiseless_real and svd.s.size < n else _FLOOR
+    return unique, floor
+
+
+def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target, scale: float, burn_in=None):
     """Outcomes of the restart chains, in order, up to the first that fits y exactly.
 
     With epsilon = 0, real A and rank(A) = n < m, an exact fit of y is
@@ -691,18 +742,22 @@ def _solve_restarts(A, b, epsilon, opts, feas_fn, y_target, scale: float):
     Ax' = Ax0 on the rest.  A chain that ends with zero violation has then
     found the answer, so it skips flip descent and no later chain runs.
     At m = n every pattern fits exactly, so an exact fit proves nothing.
+
+    ``burn_in`` (a ``BurnIn``) supplies A's SVD and the burn-ins of the
+    first chains; every other chain's burn-in runs here as a stack of one.
     """
     complex_field = np.iscomplexobj(A)
-    m, n = A.shape
-    svd = _thin_svd(A)
-    noiseless_real = epsilon == 0.0 and not complex_field
-    unique = noiseless_real and svd.s.size == n < m
-    floor = _SETTLED_FLOOR if noiseless_real and svd.s.size < n else _FLOOR
+    svd = _thin_svd(A) if burn_in is None else burn_in.svd
+    unique, floor = _chain_rule(A, epsilon, svd)
+    handed = () if burn_in is None else burn_in.chains
     outcomes = []
-    for u0, freeze, schedule in _restart_chains(A, b, opts):
-        out = _run_restart(
-            A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd, unique, floor
-        )
+    for chain, (u0, freeze, schedule) in enumerate(_restart_chains(A, b, opts)):
+        if chain < len(handed):
+            burn = handed[chain]
+        else:
+            stack = (a[None] for a in (A, b, y_target, u0))
+            burn = _homotopy_burn_in(*stack, freeze, schedule, [svd], unique, floor)[0]
+        out = _run_restart(A, b, epsilon, opts, burn, feas_fn, y_target, svd)
         if unique and _violation(out.feasibility, epsilon, scale) == 0.0:
             outcomes.append(out)
             break
@@ -730,42 +785,134 @@ def _select_report(outcomes, epsilon, scale: float) -> SolveReport:
     )
 
 
-def _solve(ensemble, data, epsilon, opts, field: str, data_name: str) -> SolveReport:
-    opts = opts or SolverOptions()
+class _Problem(NamedTuple):
+    """One solve's checked inputs: the data as float64 and the magnitudes the
+    sign or phase loop fits, sqrt(max(data, 0)) in intensity mode."""
+
+    ensemble: MeasurementEnsemble
+    data: np.ndarray
+    y_target: np.ndarray
+    epsilon: float
+
+
+def _problem(ensemble, data, epsilon, opts: SolverOptions, field: str) -> _Problem:
+    """Check one solve's inputs on ``field`` before any work: each bad one
+    raises a ValueError that names it."""
     epsilon = _real("epsilon", epsilon)
     if ensemble.field != field:
         raise ValueError(f"{field} solver requires a {field} ensemble")
     if field == REAL and opts.mode != "magnitude":
         raise ValueError(f"mode {opts.mode!r} needs complex data; the real solver takes magnitudes")
-    A, b = ensemble.A, ensemble.b
-    data = _checked(data_name, np.asarray(data, dtype=np.float64), (A.shape[0],))
+    name = "y" if field == REAL else "y_or_ytilde"
+    data = _checked(name, np.asarray(data, dtype=np.float64), (ensemble.m,))
     if opts.mode == "magnitude" and epsilon == 0.0 and np.any(data < 0):
-        raise ValueError(f"{data_name} has negative entries; noiseless magnitudes are nonnegative")
+        raise ValueError(f"{name} has negative entries; noiseless magnitudes are nonnegative")
+    y_target = np.sqrt(np.maximum(data, 0.0)) if opts.mode == "intensity" else data
+    return _Problem(ensemble, data, y_target, epsilon)
+
+
+@dataclass(frozen=True, eq=False)
+class BurnIn:
+    """What ``burn_in_block`` hands one trial's solve: the inputs it checked,
+    their thin SVD, and the (x, u, levels, certified) burn-in of each restart
+    chain sure to run, in chain order."""
+
+    problem: _Problem
+    opts: SolverOptions
+    svd: _Svd
+    chains: tuple
+
+    def check(self, problem: _Problem, opts: SolverOptions) -> None:
+        """Raise a ValueError unless this burn-in was run for these inputs."""
+        mine = self.problem
+        for name, same in (
+            ("ensemble", problem.ensemble is mine.ensemble),
+            ("data", problem.data.tobytes() == mine.data.tobytes()),
+            ("epsilon", problem.epsilon == mine.epsilon),
+            ("opts", opts == self.opts),
+        ):
+            if not same:
+                raise ValueError(f"burn_in was run for another {name}")
+
+
+def burn_in_block(ensembles, datas, epsilon: float, opts: SolverOptions | None = None) -> list:
+    """Run the burn-ins of a block of trials in lockstep; one ``BurnIn`` per trial.
+
+    The ensembles share m, n and field, and every input is checked as its
+    solve checks it before any stacked work.  Each trial's thin SVD is
+    computed once.  Trials are grouped by ``_chain_rule``, and each group
+    runs one stacked ``_homotopy_burn_in`` per restart chain sure to run:
+    only chain 0 where the chain stop can fire, every chain otherwise.  A
+    solve handed its ``BurnIn`` as ``burn_in=`` returns the bytes of a solve
+    without it.
+    """
+    opts = opts or SolverOptions()
+    if not ensembles or len(ensembles) != len(datas):
+        raise ValueError("a block needs one data vector per ensemble, and at least one")
+    for name in ("field", "m", "n"):
+        if len({getattr(e, name) for e in ensembles}) > 1:
+            raise ValueError(f"a block mixes ensembles of different {name}")
+    field = ensembles[0].field
+    problems = [_problem(e, data, epsilon, opts, field) for e, data in zip(ensembles, datas)]
+    svds = [_thin_svd(e.A) for e in ensembles]
+    chains = [[] for _ in problems]
+    groups = {}
+    for t, (e, p, svd) in enumerate(zip(ensembles, problems, svds)):
+        groups.setdefault(_chain_rule(e.A, p.epsilon, svd), []).append(t)
+    for (unique, floor), rows in groups.items():
+        b = np.stack([ensembles[t].b for t in rows])
+        y_target = np.stack([problems[t].y_target for t in rows])
+        starts = [_restart_chains(ensembles[t].A, ensembles[t].b, opts) for t in rows]
+        for chain in range(1 if unique else opts.restarts):
+            u0 = np.stack([s[chain][0] for s in starts])
+            _, freeze, schedule = starts[0][chain]
+            # Each chain gets a stack of A of its own, since the burn-in
+            # compacts it, and drops it before the next is built.
+            A = np.stack([ensembles[t].A for t in rows])
+            burns = _homotopy_burn_in(
+                A, b, y_target, u0, freeze, schedule, [svds[t] for t in rows], unique, floor
+            )
+            del A
+            for t, burn in zip(rows, burns):
+                chains[t].append(burn)
+    return [BurnIn(p, opts, svd, tuple(c)) for p, svd, c in zip(problems, svds, chains)]
+
+
+def _solve(ensemble, data, epsilon, opts, field: str, burn_in: BurnIn | None) -> SolveReport:
+    opts = opts or SolverOptions()
+    problem = _problem(ensemble, data, epsilon, opts, field)
+    if burn_in is not None:
+        burn_in.check(problem, opts)
+    A, b = ensemble.A, ensemble.b
+    data, epsilon = problem.data, problem.epsilon
 
     clipped = 0
     if opts.mode == "intensity":
         clipped = int(np.sum(data < 0))
-        y_target = np.sqrt(np.maximum(data, 0.0))
 
         def feas(x):
             return float(np.linalg.norm(lifted_intensity(ensemble, x) - data))
 
     else:
-        y_target = data
 
         def feas(x):
             return float(np.linalg.norm(np.abs(A @ x + b) - data))
 
     # The collar of _violation, shared by the chain stop, flip descent and selection.
     scale = 1.0 + float(np.linalg.norm(data))
-    outcomes = _solve_restarts(A, b, epsilon, opts, feas, y_target, scale)
+    outcomes = _solve_restarts(A, b, epsilon, opts, feas, problem.y_target, scale, burn_in)
     report = _select_report(outcomes, epsilon, scale)
     report.clipped_intensities = clipped
     return report
 
 
 def solve_affine_pr_real(
-    ensemble: MeasurementEnsemble, y, epsilon: float, opts: SolverOptions | None = None
+    ensemble: MeasurementEnsemble,
+    y,
+    epsilon: float,
+    opts: SolverOptions | None = None,
+    *,
+    burn_in: BurnIn | None = None,
 ) -> SolveReport:
     """Recover a real signal from y = |A x + b| + w by alternating signs (magnitude mode only).
 
@@ -773,21 +920,28 @@ def solve_affine_pr_real(
     that passes the direct test on it is no fixed point of the sign loop.
     With epsilon > 0 it is accepted: noise can push a small magnitude below
     zero, and the true signs s still put A x0 within epsilon of s*y - b.
+    ``burn_in`` is this solve's ``BurnIn`` from ``burn_in_block``.
     """
-    return _solve(ensemble, y, epsilon, opts, REAL, "y")
+    return _solve(ensemble, y, epsilon, opts, REAL, burn_in)
 
 
 def solve_affine_pr_complex(
-    ensemble: MeasurementEnsemble, y_or_ytilde, epsilon: float, opts: SolverOptions | None = None
+    ensemble: MeasurementEnsemble,
+    y_or_ytilde,
+    epsilon: float,
+    opts: SolverOptions | None = None,
+    *,
+    burn_in: BurnIn | None = None,
 ) -> SolveReport:
     """Recover a complex signal by alternating phases.
 
     mode='magnitude' treats the data as y = |A x + b| + w; mode='intensity'
     treats it as ytilde = |A x + b|^2 + w, with feasibility measured in the
     intensity domain and the inner target built from sqrt(max(ytilde, 0)).
-    Noiseless magnitudes must be nonnegative.
+    Noiseless magnitudes must be nonnegative.  ``burn_in`` is this solve's
+    ``BurnIn`` from ``burn_in_block``.
     """
-    return _solve(ensemble, y_or_ytilde, epsilon, opts, COMPLEX, "y_or_ytilde")
+    return _solve(ensemble, y_or_ytilde, epsilon, opts, COMPLEX, burn_in)
 
 
 def brute_force_bp_oracle(D, c) -> tuple[float, np.ndarray]:

@@ -667,3 +667,78 @@ def test_run_cell_hands_intensity_mode_its_data(mode):
     )
     cell, _ = run_cell(cfg, 64, 2, 0.0)
     assert cell.success_count == 4
+
+
+def _report_bytes(rep):
+    return (
+        rep.xhat.tobytes(),
+        rep.trace,
+        rep.termination,
+        rep.restart_index_of_best,
+        rep.outer_iters,
+        rep.inner_iters_total,
+        rep.burn_in_levels,
+        rep.clipped_intensities,
+    )
+
+
+@pytest.mark.parametrize(
+    "field, n, k, m, epsilon, solver, block",
+    [
+        ("real", 24, 2, 16, 0.0, {}, None),  # m < n: both chains run stacked
+        ("real", 24, 2, 32, 0.0, {}, None),  # m > n: distinct exit levels, a chain-1 fallback
+        ("real", 24, 2, 32, 0.0, {}, 2),  # the same cell in blocks of 2, 2 and 1
+        ("real", 24, 2, 32, 0.05, {}, None),  # eps > 0
+        ("real", 24, 2, 16, 0.0, {"restarts": 3}, None),  # a random chain
+        ("complex", 12, 1, 30, 0.0, {}, None),
+        ("complex", 12, 1, 30, 0.0, {"mode": "intensity"}, None),
+    ],
+    ids=["real-m<n", "real-m>n", "real-m>n-blocks", "real-noisy", "real-restarts3", "complex",
+         "complex-intensity"],
+)
+def test_run_cell_matches_one_solve_per_trial(monkeypatch, field, n, k, m, epsilon, solver, block):
+    # A cell runs its burn-ins in lockstep blocks, then solves each trial once
+    # with its burn-in handed over; every report is that of a solve without it.
+    bias = {"kind": "constant", "c": 1.0} if field == "real" else {"kind": "complex_gaussian"}
+    config = ExperimentConfig.from_dict(
+        {
+            "experiment": "phase_grid",
+            "field": field,
+            "n": n,
+            "k_list": [k],
+            "m_list": [m],
+            "trials_per_cell": 5,
+            "bias": bias,
+            "master_seed": 5,
+            "solver": {"restarts": 2, "restart_seed": 1, **solver},
+        }
+    )
+    if block is not None:
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", block * m * n)
+    calls = []  # (report, chains handed over) of each solver call run_cell makes
+
+    def recording(solve):
+        def wrapped(*args, burn_in=None, **kwargs):
+            rep = solve(*args, burn_in=burn_in, **kwargs)
+            calls.append((rep, len(burn_in.chains)))
+            return rep
+
+        return wrapped
+
+    for name in ("solve_affine_pr_real", "solve_affine_pr_complex"):
+        monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
+    cell, trials = run_cell(config, m, k, epsilon)
+    monkeypatch.undo()
+    assert len(calls) == len(trials) == 5
+    for t, (rep, handed) in enumerate(calls):
+        seed = SeedSpec(config.master_seed, ("phase_grid", m, k, repr(float(epsilon)), t))
+        inst = harness._instance(config, k, m, seed, epsilon)
+        ref = harness.solve_instance(inst, epsilon, config.solver)
+        assert _report_bytes(rep) == _report_bytes(ref)
+        unique = field == "real" and epsilon == 0.0 and m > n
+        assert handed == (1 if unique else config.solver.restarts)
+    if field == "real" and epsilon == 0.0 and m > n:
+        # Certified exits at distinct levels, and a chain-0 miss whose chain 1
+        # ran as a stack of one.
+        assert len({rep.burn_in_levels[0] for rep, _ in calls}) > 2
+        assert any(len(rep.burn_in_levels) == 2 for rep, _ in calls)

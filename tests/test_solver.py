@@ -203,17 +203,20 @@ def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
     # hands its direct solve over as the first outer step's call.
     chains = []  # per chain: outer-step right-hand sides, probe right-hand sides, outcome
     sink = []
+    handed = []  # the certified direct solve a burn-in hands to the chain's first step
     real_bpdn, real_restart, real_flip = solver.bpdn, solver._run_restart, solver._flip_descent
     real_burn_in = solver._homotopy_burn_in
 
     def burn_in(A, b, y_target, *args):
-        out = real_burn_in(A, b, y_target, *args)
-        if out[3] is not None:
-            sink[0].append((out[1] * y_target - b).tobytes())
-        return out
+        outs = real_burn_in(A, b, y_target, *args)
+        for t, out in enumerate(outs):
+            if out[3] is not None:
+                handed.append((out[1] * y_target[t] - b[t]).tobytes())
+        return outs
 
     def restart(*args, **kwargs):
-        outer, probes = [], []
+        outer, probes = list(handed), []
+        handed.clear()
         sink[:] = [outer]
         out = real_restart(*args, **kwargs)
         chains.append((outer, probes, out))
@@ -488,6 +491,18 @@ def full_burn_in(*args):
     return reference_burn_in(*args[:-1], 1e-7)
 
 
+def stacked(reference):
+    """``solver._homotopy_burn_in``'s stacked form of a one-trial ``reference``."""
+
+    def burn_in(A, b, y_target, u0, freeze_levels, schedule, svds, certify, floor):
+        return [
+            reference(A[t], b[t], y_target[t], u0[t], freeze_levels, schedule, svds[t], certify, floor)
+            for t in range(len(A))
+        ]
+
+    return burn_in
+
+
 def full_levels(schedule, floor) -> int:
     lam, levels = 1.0, 0
     while lam > floor:
@@ -508,7 +523,7 @@ def test_burn_in_exit_keeps_the_solve_bytes(m, monkeypatch):
         inst = make_instance("real", 64, 3, m, SeedSpec(95, (m, t)), bias=1.0)
         rep = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_homotopy_burn_in", reference_burn_in)
+            patch.setattr(solver, "_homotopy_burn_in", stacked(reference_burn_in))
             ref = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
         assert rep.xhat.tobytes() == ref.xhat.tobytes()
         assert rep.trace == ref.trace
@@ -523,16 +538,16 @@ def test_burn_in_exit_keeps_the_solve_bytes(m, monkeypatch):
     assert recovered >= 8
 
 
-def reference_restarts(A, b, epsilon, opts, feas_fn, y_target, scale):
+def reference_restarts(A, b, epsilon, opts, feas_fn, y_target, scale, burn_in=None):
     """Every restart chain, each followed by flip descent: no stop at an exact fit."""
     m, n = A.shape
     svd = solver._thin_svd(A)
     unique = epsilon == 0.0 and not np.iscomplexobj(A) and svd.s.size == n < m
     outcomes = []
     for u0, freeze, schedule in solver._restart_chains(A, b, opts):
-        out = solver._run_restart(
-            A, b, epsilon, opts, u0, freeze, schedule, feas_fn, y_target, svd, unique, 1e-7
-        )
+        stack = (a[None] for a in (A, b, y_target, u0))
+        burn = solver._homotopy_burn_in(*stack, freeze, schedule, [svd], unique, 1e-7)[0]
+        out = solver._run_restart(A, b, epsilon, opts, burn, feas_fn, y_target, svd)
         outcomes.append(
             solver._flip_descent(A, b, y_target, epsilon, opts, out, feas_fn, svd, scale)
         )
@@ -600,7 +615,7 @@ def test_settled_burn_in_keeps_the_solve_bytes(m, monkeypatch):
         inst = make_instance("real", 64, 3, m, SeedSpec(99, (m, t)), bias=1.0)
         rep = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_homotopy_burn_in", full_burn_in)
+            patch.setattr(solver, "_homotopy_burn_in", stacked(full_burn_in))
             ref = solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
         assert rep.xhat.tobytes() == ref.xhat.tobytes()
         assert rep.trace == ref.trace
@@ -792,3 +807,107 @@ def test_solver_options_accept_numpy_integers():
     opts = SolverOptions(restarts=np.int64(3), restart_seed=np.uint64(2**64 - 1))
     assert (opts.restarts, opts.restart_seed) == (3, 2**64 - 1)
     assert type(opts.restarts) is int
+
+
+def _report_bytes(rep):
+    return (
+        rep.xhat.tobytes(),
+        rep.trace,
+        rep.termination,
+        rep.restart_index_of_best,
+        rep.outer_iters,
+        rep.inner_iters_total,
+        rep.burn_in_levels,
+    )
+
+
+def _burn_in_bytes(burn):
+    x, u, levels, certified = burn
+    return x.tobytes(), u.tobytes(), levels, certified and certified.x.tobytes()
+
+
+@pytest.mark.parametrize("m", [20, 8], ids=["m-above-n", "m-below-n"])
+def test_burn_in_block_keeps_the_solve_bytes(m):
+    # A hand-built block: trial 0 has y = |b| (x0 = 0), so lam0 = 0 and it
+    # leaves the stack before the first step of every chain; trial 1 has
+    # A = 0, so it leaves too, and at m > n its rank 0 puts it in a group of
+    # its own; the rest run in lockstep.  Each chain's burn-ins are those of
+    # stacks of one, so every chain starts from the whole stack again.
+    n = 12
+    insts = [make_instance("real", n, 2, m, SeedSpec(94, (m, t)), bias=1.0) for t in range(5)]
+    zero = MeasurementEnsemble("real", np.zeros((m, n)), insts[1].ensemble.b)
+    ensembles = [insts[0].ensemble, zero] + [inst.ensemble for inst in insts[2:]]
+    datas = [np.abs(insts[0].ensemble.b), np.abs(zero.b)] + [inst.y for inst in insts[2:]]
+    burns = solver.burn_in_block(ensembles, datas, 0.0, FAST)
+    chains = 1 if m > n else FAST.restarts
+    assert [len(burn.chains) for burn in burns] == [chains, FAST.restarts] + [chains] * 3
+    assert all(levels == 0 for burn in burns[:2] for _, _, levels, _ in burn.chains)
+    assert all(levels > 0 for burn in burns[2:] for _, _, levels, _ in burn.chains)
+    for ens, data, burn in zip(ensembles, datas, burns):
+        A, b = ens.A, ens.b
+        unique, floor = solver._chain_rule(A, 0.0, burn.svd)
+        for (u0, freeze, schedule), handed in zip(solver._restart_chains(A, b, FAST), burn.chains):
+            stack = (a[None] for a in (A, b, data, u0))
+            alone = solver._homotopy_burn_in(*stack, freeze, schedule, [burn.svd], unique, floor)
+            assert _burn_in_bytes(handed) == _burn_in_bytes(alone[0])
+        rep = solve_affine_pr_real(ens, data, 0.0, FAST, burn_in=burn)
+        assert _report_bytes(rep) == _report_bytes(solve_affine_pr_real(ens, data, 0.0, FAST))
+
+
+@pytest.mark.parametrize(
+    "name, other",
+    [("m", ("real", 8, 1, 13)), ("n", ("real", 9, 1, 12)), ("field", ("complex", 8, 1, 12))],
+)
+def test_burn_in_block_rejects_a_mixed_block(name, other):
+    inst = make_instance("real", 8, 1, 12, SeedSpec(1))
+    odd = make_instance(*other, SeedSpec(2))
+    with pytest.raises(ValueError, match=f"^a block mixes ensembles of different {name}$"):
+        solver.burn_in_block([inst.ensemble, odd.ensemble], [inst.y, odd.y], 0.0, FAST)
+
+
+@pytest.mark.parametrize("name", ["ensemble", "data", "epsilon", "opts"])
+def test_solve_rejects_a_burn_in_run_for_other_inputs(name):
+    inst = make_instance("real", 8, 1, 12, SeedSpec(1), bias=1.0)
+    burn = solver.burn_in_block([inst.ensemble], [inst.y], 0.0, FAST)[0]
+    args = {"ensemble": inst.ensemble, "y": inst.y, "epsilon": 0.0, "opts": FAST}
+    other = {
+        "ensemble": ("ensemble", make_instance("real", 8, 1, 12, SeedSpec(1), bias=1.0).ensemble),
+        "data": ("y", inst.y + 0.5),
+        "epsilon": ("epsilon", 0.01),
+        "opts": ("opts", SolverOptions(restarts=3)),
+    }[name]
+    args[other[0]] = other[1]
+    with pytest.raises(ValueError, match=f"^burn_in was run for another {name}$"):
+        solve_affine_pr_real(**args, burn_in=burn)
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", ["shape", "non-finite", "negative", "epsilon", "mode"])
+def test_burn_in_block_checks_each_input_as_a_solve_does(case):
+    inst = make_instance("real", 8, 1, 12, SeedSpec(1), bias=1.0)
+    y, epsilon, opts = inst.y.copy(), 0.0, FAST
+    if case == "shape":
+        y = y[:-1]
+    elif case == "non-finite":
+        y[3] = np.nan
+    elif case == "negative":
+        y[3] = -1.0
+    elif case == "epsilon":
+        epsilon = -0.5
+    else:
+        opts = SolverOptions(mode="intensity")
+    message = _error(solve_affine_pr_real, inst.ensemble, y, epsilon, opts)
+    ensembles = [inst.ensemble, inst.ensemble]
+    assert _error(solver.burn_in_block, ensembles, [inst.y, y], epsilon, opts) == message
+
+
+def test_burn_in_block_needs_one_data_vector_per_ensemble():
+    inst = make_instance("real", 8, 1, 12, SeedSpec(1))
+    for ensembles, datas in (([], []), ([inst.ensemble], [inst.y, inst.y])):
+        with pytest.raises(ValueError, match="^a block needs one data vector per ensemble"):
+            solver.burn_in_block(ensembles, datas, 0.0, FAST)
