@@ -51,6 +51,8 @@ EXPERIMENTS = (
 )
 # The experiments that run one (m, k) cell: they read m_list[0] and k_list[0] only.
 _SINGLE_CELL = ("noise_curve", "impossibility", "srip", "ripmap")
+# The experiments that read no noise level: their epsilon_list must be [0.0].
+_NOISELESS = ("impossibility", "srip", "ripmap", "lemma_suite")
 
 # CSV columns of a grid cell after its (m, k) or epsilon; all are keys of cell_to_json.
 _CELL_COLUMNS = ("trials", "successes", "wilson_lo", "wilson_hi", "median_err", "median_phase_err")
@@ -83,7 +85,8 @@ class ExperimentConfig:
     a built config holds the canonical spec, so a bias spelled ``1``,
     ``{"kind": "constant", "c": 1}`` or left out on the real field loads as
     ``{"kind": "constant", "c": 1.0}``, with one digest.  A single-cell
-    experiment (``_SINGLE_CELL``) takes one m and one k.
+    experiment (``_SINGLE_CELL``) takes one m and one k, and one that reads
+    no noise level (``_NOISELESS``) takes epsilon_list [0.0].
     """
 
     experiment: str
@@ -125,6 +128,8 @@ class ExperimentConfig:
         for name in ("m_list", "k_list"):
             if self.experiment in _SINGLE_CELL and len(getattr(self, name)) > 1:
                 raise ValueError(f"{name} of a {self.experiment} experiment must hold one value")
+        if self.experiment in _NOISELESS and self.epsilon_list != (0.0,):
+            raise ValueError(f"epsilon_list of a {self.experiment} experiment must be [0.0]")
         if isinstance(self.bias, dict) and self.bias.get("kind") == "file":
             # Read once: every trial, and the resume digest, use these values.
             if not isinstance(self.bias.get("path"), str):

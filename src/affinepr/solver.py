@@ -11,23 +11,22 @@ Which of three inner paths runs depends only on eps, the field and rank(D):
 * direct, for eps = 0 and rank(D) = n: the feasible set is a single point or
   empty, so the call returns D^+ c;
 * the exact lasso path, for real D otherwise, certified by a dual vector:
-  to lam = 0 on the whitened rows V^H x = S^-1 U^H c for eps = 0, and for
+  to lam = 0 on the orthonormal rows V^H x = S^-1 U^H c for eps = 0, and for
   eps > 0 on the rows S V^H against U^H c up to the point where
   ||D x - c|| = eps;
 * ADMM on the splitting x = z, D x = r, for complex D unless eps = 0 and
-  rank(D) = n (complex l1 is a second-order cone program).  Its exact
-  x-update (I + D^H D)^-1 is one matrix-vector product with
-  I - V diag(s^2/(1 + s^2)) V^H, or I - V V^H/2 once a consistent eps = 0
-  system is whitened to the rows V^H; it does not depend on the ADMM step
-  rho, so adapting rho costs nothing.
+  rank(D) = n (complex l1 is a second-order cone program), from x = 0 on
+  D's own rows.  Its exact x-update (I + D^H D)^-1 is one matrix-vector
+  product with I - V diag(s^2/(1 + s^2)) V^H; it does not depend on the
+  ADMM step rho, so adapting rho costs nothing.
 
 The outer loops exploit the identity
 
     ||diag(s)(A x + b) - y||_2 = ||A x - (s*y - b)||_2
 
 for any unit-modulus s, so each outer step is one convex BPDN solve: one
-``bpdn`` call per pattern, and a second, full-budget call only after a call
-cut at its cap.
+``bpdn`` call per pattern, capped at 600 inner steps (300 for a flip probe),
+and a pure function of (D, c, eps, cap).
 
 A plain alternation traps immediately in the underdetermined regime: with
 eps = 0 and m < n every sign pattern admits an exact interpolator, so every
@@ -80,7 +79,8 @@ class SolverOptions:
     outer steps per restart chain (``_OUTER_MAX`` = 100) are fixed.
 
     inner_max: cap on the real lasso path's steps or the complex ADMM iterations of a
-        full BPDN call; outer steps cap at 600 (``_OUTER_CAP``), flip probes at 300.
+        ``bpdn`` call; the default serves direct calls.  Inside a solve it only lowers
+        the caps of outer steps (600, ``_OUTER_CAP``) and flip probes (300).
     inner_tol: complex ADMM tolerance on the residuals, relative to 1 + ||c||; it also
         sets the phase loop's fixed-point test, min(1e-9, max(10 inner_tol, 1e-13)).
     restarts: most chains: the bias anchor, the anchor on a slower homotopy, then random
@@ -338,7 +338,7 @@ def _direct(D, c, svd: _Svd) -> BpdnResult:
 
 
 def bpdn(
-    D, c, epsilon: float, opts: SolverOptions | None = None, x_init=None, *, svd: _Svd | None = None
+    D, c, epsilon: float, opts: SolverOptions | None = None, *, svd: _Svd | None = None
 ) -> BpdnResult:
     """Minimizer of min ||x||_1 s.t. ||D x - c||_2 <= epsilon, with a convergence flag.
 
@@ -349,15 +349,15 @@ def bpdn(
     * other real D: the exact lasso path (``_bp_homotopy``), capped at
       ``opts.inner_max`` steps.  Converged only if a dual vector certifies
       the result and its residual is within epsilon + _FIT_TOL (1 + ||c||).
-      With epsilon = 0 the path runs on the whitened rows V^H x = S^-1 U^H c.
+      With epsilon = 0 the path runs on the orthonormal rows V^H x = S^-1 U^H c.
       With epsilon > 0 it runs on the rows S V^H against U^H c and stops at
       residual epsilon; a projection residual ||c - U U^H c|| of at least
       epsilon is an exact "infeasible" verdict: D^+ c after 0 steps.
-    * complex D otherwise: ADMM, warm-started from ``x_init`` if given (no
-      other path reads it), capped at ``opts.inner_max`` iterations, with
-      tolerance ``opts.inner_tol``.
+    * complex D otherwise: ADMM from x = 0 on D's own rows, capped at
+      ``opts.inner_max`` iterations, with tolerance ``opts.inner_tol``.
 
-    On nonunique optima any minimizer may be returned, so callers should
+    Every path starts from nothing, so equal inputs give equal bytes.  On
+    nonunique optima any minimizer may be returned, so callers should
     contract on the objective value rather than the witness.  ``svd`` is D's
     ``_thin_svd``, passed by callers that reuse one D.
     """
@@ -377,9 +377,8 @@ def bpdn(
     if epsilon == 0.0 and svd.s.size == n:
         return _direct(D, c, svd)
     U, s, Vh = svd
-    feas_tol = _FIT_TOL * (1.0 + cnorm)
-    proj = U.conj().T @ c
     if not np.iscomplexobj(D):
+        proj = U.T @ c
         if epsilon == 0.0:
             x, steps, certified = _bp_homotopy(Vh, proj / s, 0.0, opts.inner_max)
         else:
@@ -388,26 +387,18 @@ def bpdn(
                 return BpdnResult(Vh.T @ (proj / s), 0, False)
             x, steps, certified = _bp_homotopy(s[:, None] * Vh, proj, target, opts.inner_max)
         primal = float(np.linalg.norm(D @ x - c))
-        return BpdnResult(x, steps, certified and primal <= epsilon + feas_tol)
-    V = Vh.conj().T
-    gain = s**2 / (1.0 + s**2)  # (I + D^H D)^-1 = I - V diag(gain) V^H
-    if epsilon == 0.0 and np.linalg.norm(c - U @ proj) <= feas_tol:
-        # D x = c iff V^H x = S^-1 U^H c, and ADMM's rate no longer depends
-        # on cond(D).  An inconsistent system keeps the raw rows.
-        D, c = Vh, proj / s
-        m = D.shape[0]
-        gain = np.full(s.size, 0.5)
-    M = np.eye(n) - (V * gain) @ Vh
+        return BpdnResult(x, steps, certified and primal <= epsilon + _FIT_TOL * (1.0 + cnorm))
+    # (I + D^H D)^-1 = I - V diag(s^2 / (1 + s^2)) V^H
+    M = np.eye(n) - (Vh.conj().T * (s**2 / (1.0 + s**2))) @ Vh
 
     Dh = D.conj().T
     dtype = np.promote_types(D.dtype, c.dtype)
-    x = np.zeros(n, dtype=dtype) if x_init is None else np.asarray(x_init, dtype=dtype).copy()
-    z = x.copy()
-    r = _project_ball(D @ x, c, epsilon)
+    z = np.zeros(n, dtype=dtype)
+    r = _project_ball(np.zeros(m, dtype=dtype), c, epsilon)
     u_z = np.zeros(n, dtype=dtype)
     u_r = np.zeros(m, dtype=dtype)
     rho = 1.0
-    tol = opts.inner_tol * (1.0 + float(np.linalg.norm(c)))
+    tol = opts.inner_tol * (1.0 + cnorm)
 
     it = 0
     converged = False
@@ -487,9 +478,9 @@ class _Schedule(NamedTuple):
 _FAST = _Schedule(0.9, 8, 5.0)  # the anchor chain and every random chain
 _SLOW = _Schedule(0.95, 10, 3.0)  # the second chain: same anchor, finer homotopy
 
-# Where the burn-in's lam stops, relative to its start.  A real noiseless
-# solve with rank(A) < n reads only the sign pattern the burn-in hands over
-# (real inner calls ignore x_init), and that pattern has settled by 1e-4;
+# Where the burn-in's lam stops, relative to its start.  No inner call
+# reads the burn-in's x, so a solve reads only the pattern it hands over.  A
+# real noiseless solve with rank(A) < n has settled that pattern by 1e-4;
 # every other solve runs the full seven decades.
 _FLOOR = 1e-7
 _SETTLED_FLOOR = 1e-4
@@ -577,22 +568,17 @@ def _homotopy_burn_in(
             leave |= np.array([res.converged for res in tests])
 
 
-def _stopped_at_cap(res: BpdnResult, capped: SolverOptions, opts: SolverOptions) -> bool:
-    """Whether a call under ``capped`` was cut at its cap short of ``opts``'s full budget."""
-    return not res.converged and capped.inner_max <= res.iterations < opts.inner_max
-
-
 def _run_restart(A, b, epsilon, opts, burn_in, feas_fn, y_target, svd: _Svd):
     """The alternating constrained iteration from a chain's burn-in, the
-    (x, u, levels, certified) of ``_homotopy_burn_in``.
+    (x, u, levels, certified) of ``_homotopy_burn_in``; it reads the pattern
+    u, not x.
 
     Each outer step solves its pattern once, with the inner call capped at
     600 (complex ADMM would burn its full budget on a wrong, infeasible
-    pattern); a candidate fixed point cut at that cap is solved again with
-    the full budget.  A burn-in that stopped at a pattern passing the direct
-    test hands over that test's solve as the first outer step's.
+    pattern).  A burn-in that stopped at a pattern passing the direct test
+    hands over that test's solve as the first outer step's.
     """
-    x, u, levels, certified = burn_in
+    _, u, levels, certified = burn_in
     capped = replace(opts, inner_max=min(_OUTER_CAP, opts.inner_max))
     inner_total = 0
     trace = []
@@ -606,15 +592,11 @@ def _run_restart(A, b, epsilon, opts, burn_in, feas_fn, y_target, svd: _Svd):
     for _ in range(_OUTER_MAX):
         c = u * y_target - b
         if certified is None:
-            res = bpdn(A, c, epsilon, capped, x_init=x, svd=svd)
+            res = bpdn(A, c, epsilon, capped, svd=svd)
         else:  # bpdn would return this same direct solve
             res, certified = certified, None
         inner_total += res.iterations
         u_new = _unit_pattern(A @ res.x + b)
-        if float(np.max(np.abs(u_new - u))) <= u_tol and _stopped_at_cap(res, capped, opts):
-            res = bpdn(A, c, epsilon, opts, x_init=res.x, svd=svd)
-            inner_total += res.iterations
-            u_new = _unit_pattern(A @ res.x + b)
         x = res.x
         trace.append((res.objective, feas_fn(x)))
         if float(np.max(np.abs(u_new - u))) <= u_tol:
@@ -651,10 +633,10 @@ def _flip_descent(
     """Real-field local search: retry the lowest-margin sign flips.
 
     Each probe solves its pattern once, with the lasso path capped at 300
-    steps; an improving probe cut at that cap is solved again with the full
-    cap and must still improve the (violation, objective) key.  A probe of a
-    pattern already solved here (or the chain's own fixed point) is skipped
-    but counts against the budget: the key only falls, so it cannot win.
+    steps, and wins only if it lowers the (violation, objective) key.  A
+    probe of a pattern already solved here (or the chain's own fixed point)
+    is skipped but counts against the budget: the key only falls, so it
+    cannot win.
     """
     if opts.flip_candidates == 0:
         return outcome
@@ -685,11 +667,6 @@ def _flip_descent(
         inner += res.iterations
         feas = feas_fn(res.x)
         cand_key = (_violation(feas, epsilon, scale), res.objective)
-        if cand_key < key and _stopped_at_cap(res, probe_opts, opts):
-            res = bpdn(A, c, epsilon, opts, svd=svd)
-            inner += res.iterations
-            feas = feas_fn(res.x)
-            cand_key = (_violation(feas, epsilon, scale), res.objective)
         if cand_key < key:
             x, key, improved = res.x, cand_key, True
             trace.append((res.objective, feas))

@@ -250,13 +250,28 @@ def test_complex_config_without_bias_draws_the_complex_gaussian_bias():
         ({"experiment": "impossibility"}, "m_list"),
         ({"experiment": "srip"}, "m_list"),
         ({"experiment": "ripmap", "m_list": [24], "k_list": [2, 3]}, "k_list"),
+        ({"experiment": "impossibility", "m_list": [12], "epsilon_list": [0.05]}, "epsilon_list"),
+        ({"experiment": "srip", "m_list": [24], "epsilon_list": [0.0, 0.1]}, "epsilon_list"),
+        ({"experiment": "ripmap", "m_list": [24], "epsilon_list": [0.1, 0.2]}, "epsilon_list"),
+        ({"experiment": "lemma_suite", "epsilon_list": [0.0, 0.5]}, "epsilon_list"),
     ],
-    ids=["int-output_path", "curve-m", "impossibility-m", "srip-m", "ripmap-k"],
+    ids=[
+        "int-output_path",
+        "curve-m",
+        "impossibility-m",
+        "srip-m",
+        "ripmap-k",
+        "impossibility-eps",
+        "srip-eps",
+        "ripmap-eps",
+        "lemma_suite-eps",
+    ],
 )
 def test_config_rejects_bad_output_path_and_second_cell(tmp_path, monkeypatch, changes, name):
     # Each used to load: an int output path failed with a TypeError before
-    # the first cell, and a single-cell experiment ran on the first m and k
-    # of longer lists without notice.
+    # the first cell, a single-cell experiment ran on the first m and k of
+    # longer lists without notice, and an experiment that reads no noise
+    # level ignored its epsilon_list.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match=name):
         ExperimentConfig.from_dict({**SMALL_GRID, **changes})

@@ -2,11 +2,11 @@
 affine phase-retrieval solves.
 
 For ``bpdn`` all three inner paths are covered: the exact homotopy for real
-m < n, the direct D^+ c solve when m >= n, and ADMM with a whitened equality
-system for complex m < n.  Each property is a symmetry of
-min ||x||_1 s.t. D x = c, so the objective must not depend on it.  The full
-solves run on instances they recover exactly, and each symmetry of
-y = |A x + b| must lead to the same (or the scaled) signal.
+m < n, the direct D^+ c solve when m >= n, and ADMM on D's own rows for
+complex m < n.  Each property is a symmetry of min ||x||_1 s.t. D x = c,
+so the objective must not depend on it.  The full solves run on instances
+they recover exactly, and each symmetry of y = |A x + b| must lead to the
+same (or the scaled) signal.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from affinepr import (
 )
 from affinepr.solver import bpdn
 
-# (m, n, field): exact homotopy, direct solve, whitened ADMM.  The ids of
+# (m, n, field): exact homotopy, direct solve, ADMM.  The ids of
 # the real shapes predate the complex one.
 SHAPES = pytest.mark.parametrize(
     "m,n,field",

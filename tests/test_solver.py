@@ -155,7 +155,7 @@ def test_bpdn_exact_path_step_count():
 
 
 def test_bpdn_exact_path_with_duplicated_rows():
-    # rank(D) = 30 < m = 36 < n = 64: the path runs on the 30 whitened rows.
+    # rank(D) = 30 < m = 36 < n = 64: the path runs on the 30 orthonormal rows.
     rng = np.random.default_rng(13)
     D0 = rng.standard_normal((30, 64))
     D = np.vstack([D0, D0[:6]])
@@ -172,22 +172,6 @@ def test_bpdn_exact_path_with_duplicated_rows():
     assert np.linalg.norm(D @ res.x - c) > 0.1
 
 
-@pytest.mark.parametrize("eps_share", [0.0, 0.1], ids=["eps0", "eps-positive"])
-def test_real_bpdn_ignores_x_init(eps_share):
-    # Real calls are exact and start from nothing, so a warm start, even the
-    # call's own optimum, changes neither the bytes nor the step count.
-    rng = np.random.default_rng(14)
-    D = rng.standard_normal((40, 64))
-    for c in (rng.standard_normal(40), _sparse_rhs(rng, D)):
-        eps = eps_share * np.linalg.norm(c)
-        first = bpdn(D, c, eps)
-        assert first.converged and first.iterations > 0
-        for x_init in (first.x, rng.standard_normal(64)):
-            again = bpdn(D, c, eps, x_init=x_init)
-            assert again.x.tobytes() == first.x.tobytes()
-            assert (again.iterations, again.converged) == (first.iterations, first.converged)
-
-
 @pytest.mark.parametrize(
     "m, epsilon",
     [(16, 0.0), (48, 0.0), (48, 0.05)],
@@ -197,10 +181,10 @@ def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
     # Each outer step and each flip probe calls bpdn once: no call in a chain
     # repeats the right-hand side of the call before it, and no probe repeats
     # a pattern solved earlier in its flip descent or the chain's fixed point.
-    # Only a call cut at its cap is solved again, and these sizes never reach
-    # a cap.  At m > n with eps = 0 a chain that fits y exactly is the last,
-    # and it runs no probes; a burn-in that stops at a certified pattern
-    # hands its direct solve over as the first outer step's call.
+    # No call is solved again, and these sizes never reach a cap.  At m > n
+    # with eps = 0 a chain that fits y exactly is the last, and it runs no
+    # probes; a burn-in that stops at a certified pattern hands its direct
+    # solve over as the first outer step's call.
     chains = []  # per chain: outer-step right-hand sides, probe right-hand sides, outcome
     sink = []
     handed = []  # the certified direct solve a burn-in hands to the chain's first step
@@ -277,55 +261,34 @@ def _recording_bpdn(monkeypatch, calls, probe_capped=False):
     monkeypatch.setattr(solver, "bpdn", recording)
 
 
-def test_outer_step_cut_at_its_cap_is_solved_again(monkeypatch):
-    # An outer step whose pattern is a fixed point but whose call stopped at
-    # the cap is solved again, on the same right-hand side, with the full
-    # budget.  At the real cap of 600 no m < n call here reaches it.
+def test_each_pattern_is_solved_once_at_its_cap(monkeypatch):
+    # With the outer cap at 5 most outer steps here are cut, and every probe
+    # reports that it was.  No call is solved again with the full budget or
+    # on the right-hand side of the call before it, and a chain whose last
+    # outer call was cut ends infeasible_inner.
     monkeypatch.setattr(solver, "_OUTER_CAP", 5)
-    calls = []
-    _recording_bpdn(monkeypatch, calls)
+    calls, chains = [], []
+    _recording_bpdn(monkeypatch, calls, probe_capped=True)
+    real_restart = solver._run_restart
+
+    def restart(*args, **kwargs):
+        start = len(calls)
+        out = real_restart(*args, **kwargs)
+        chains.append((calls[start:], out))
+        return out
+
+    monkeypatch.setattr(solver, "_run_restart", restart)
     opts = SolverOptions(restarts=2, restart_seed=3)
-    full = 0
     for t in range(6):
         inst = make_instance("real", 24, 2, 16, SeedSpec(97, (16, t)), bias=1.0)
         calls.clear()
         solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
-        for (c_before, cap, before), (c, full_cap, _) in zip(calls, calls[1:]):
-            if full_cap == opts.inner_max:
-                full += 1
-                assert c == c_before and cap == 5
-                assert before.iterations == 5 and not before.converged
-    assert full > 0
-
-
-def test_improving_probe_cut_at_its_cap_is_solved_again(monkeypatch):
-    # No real probe reaches its cap of 300 here, so every probe reports that it
-    # did: each one that improves the key is solved once more, on the same
-    # right-hand side, with the full budget, and that solve's result is kept.
-    calls, descents = [], []
-    _recording_bpdn(monkeypatch, calls, probe_capped=True)
-    real_flip = solver._flip_descent
-
-    def flip_descent(*args, **kwargs):
-        start = len(calls)
-        out = real_flip(*args, **kwargs)
-        descents.append((args[5], out, calls[start:]))
-        return out
-
-    monkeypatch.setattr(solver, "_flip_descent", flip_descent)
-    opts = SolverOptions(restarts=2, restart_seed=3)
-    resolved = 0
-    for t in range(3):
-        inst = make_instance("real", 24, 2, 16, SeedSpec(97, (16, t)), bias=1.0)
-        solve_affine_pr_real(inst.ensemble, inst.y, 0.0, opts)
-    for start, out, made in descents:
-        full = [i for i, (_, cap, _) in enumerate(made) if cap == opts.inner_max]
-        resolved += len(full)
-        assert all(i > 0 and made[i - 1][1] == solver._PROBE_CAP for i in full)
-        assert all(made[i - 1][0] == made[i][0] for i in full)
-        if out.xhat is not start.xhat:
-            assert any(made[i][2].x is out.xhat for i in full)
-    assert resolved > 0
+        assert calls and all(cap != opts.inner_max for _, cap, _ in calls)
+        assert all(a[0] != b[0] for a, b in zip(calls, calls[1:]))
+    last = [(outer[-1][2], out) for outer, out in chains]
+    ends_cut = [out for res, out in last if (res.iterations, res.converged) == (5, False)]
+    assert ends_cut
+    assert all(out.termination == "infeasible_inner" for out in ends_cut)
 
 
 def test_complex_solve_runs_random_restart_chains():
