@@ -28,8 +28,8 @@ A x = u*y - b recorded.  For each residual tolerance it reports how many
 trials reach it at some level, the first such level, and in how many of
 them that level's direct solve already recovers x0 (the harness's
 global-phase success test).  Needs a tree whose burn-in runs on stacks
-(A of shape (T, m, n)), takes the ``certify`` and ``floor`` arguments and
-calls ``solver._direct``.
+(A of shape (T, m, n)), takes the ``certify`` and ``floor`` arguments,
+calls ``solver._direct`` and returns one (u, levels) per trial.
 
 ``settle-levels`` replays the burn-in of both anchor chains for TRIALS
 (default 100) instances of acceptance criterion 2's cell at M measurements
@@ -39,7 +39,8 @@ calls ``solver._direct``.
 again to ``solver._SETTLED_FLOOR``.  Per seed and schedule it reports the
 distribution of the level at which the pattern last changed, and in how
 many chains the run to the settled floor ends on the full run's pattern.
-Needs a tree whose burn-in runs on stacks and takes the ``floor`` argument.
+Needs a tree whose burn-in runs on stacks, takes the ``floor`` argument and
+returns one (u, levels) per trial.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def complex_levels(trials: int) -> dict:
             calls.clear()
             u0, svd = solver._unit_pattern(b), solver._thin_svd(A)
             stack = (a[None] for a in (A, b, inst.y, u0))
-            full = solver._homotopy_burn_in(*stack, 0, schedule, [svd], True, solver._FLOOR)[0][2]
+            full = solver._homotopy_burn_in(*stack, 0, schedule, [svd], True, solver._FLOOR)[0][1]
             tol_x0 = 1e-5 * (1.0 + float(np.linalg.norm(inst.x0)))
             for tol in RESIDUAL_TOLS:
                 for level, (rel, x) in enumerate(calls, start=1):
@@ -226,7 +227,7 @@ def settle_levels(trials: int, m: int) -> dict:
                 u0, svd = unit_pattern(b), solver._thin_svd(A)
                 patterns.clear()
                 stack = [a[None] for a in (A, b, y, u0)]
-                _, full_u, full, _ = solver._homotopy_burn_in(
+                full_u, full = solver._homotopy_burn_in(
                     *stack, 0, schedule, [svd], False, solver._FLOOR
                 )[0]
                 # An unfrozen burn-in computes the pattern before each of its
@@ -239,7 +240,7 @@ def settle_levels(trials: int, m: int) -> dict:
                 while last > 0 and np.array_equal(after[last - 1], full_u):
                     last -= 1
                 settle.append(last)
-                _, settled_u, short, _ = solver._homotopy_burn_in(
+                settled_u, short = solver._homotopy_burn_in(
                     *stack, 0, schedule, [svd], False, solver._SETTLED_FLOOR
                 )[0]
                 same += bool(np.array_equal(settled_u, full_u))

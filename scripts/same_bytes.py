@@ -48,9 +48,9 @@ bounds and verdict), since its JSON output holds only counts.  It prints the SHA
 by side.
 It also records every trial's success flag in each grid cell and lists each
 trial whose flag differs between the trees.  It exits with status 1 if any
-output or flag differs, 0 if all are identical.  A run takes about 115 s
-per tree on a 2-core machine.  It writes nothing under ``perfbench/``;
-outputs go to a temporary directory.
+output or flag differs, 0 if all are identical.  A run over two trees
+takes about 70 s (35 s per tree) on a 2-core machine.  It writes nothing
+under ``perfbench/``; outputs go to a temporary directory.
 """
 
 from __future__ import annotations

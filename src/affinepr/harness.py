@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError("solver must be a SolverOptions")
         if not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
+        if self.output_path and not os.path.isdir(os.path.dirname(self.output_path) or "."):
+            raise ValueError(f"output_path {self.output_path!r} is in no existing directory")
         put = lambda name, value: object.__setattr__(self, name, value)
         put("n", _integer("n", self.n, 1))
         put("k_list", _grid_list("k_list", self.k_list, _integer, 1, self.n))

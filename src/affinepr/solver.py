@@ -41,12 +41,11 @@ solver finishes with a margin-guided single-sign-flip descent.
 
 A noiseless real burn-in with rank(A) = n < m stops at the first unfrozen
 level whose sign pattern passes the direct path's feasibility test: the
-outer loop from that pattern ignores the x it is handed, returns the one
-feasible point and stops there.  In the same case an exact fit of y is
-unique, so the first restart chain that ends at one is the answer and no
-later chain runs.  A noiseless real burn-in with rank(A) < n ends four
-decades of lam down, not seven: the outer loop reads only its sign pattern,
-which has settled by then.
+outer loop's first step solves that pattern for its one feasible point.
+In the same case an exact fit of y is unique, so the first restart chain
+that ends at one is the answer and no later chain runs.  A noiseless real
+burn-in with rank(A) < n ends four decades of lam down, not seven: the
+outer loop reads only its sign pattern, which has settled by then.
 
 The burn-in runs in lockstep on a stack of trials that share m, n and the
 field; a single solve's burn-in is a stack of one.  ``burn_in_block`` takes
@@ -54,9 +53,10 @@ a block of trials (the harness sizes it at 2^16 matrix entries), checks
 every input, computes each trial's SVD once, and runs one stacked burn-in
 per restart chain that is sure to run: only the first where the chain stop
 can fire, every chain otherwise.  Each trial's solve is handed its SVD and
-burn-ins as ``burn_in=``; a chain without one runs its burn-in as a stack
-of one.  A stacked matmul makes one gemv per matrix and norms are taken per
-trial, so every trial gets the bytes of a solve on its own.
+burn-ins, each a final pattern and its level count, as ``burn_in=``; a
+chain without one runs its burn-in as a stack of one.  A stacked matmul
+makes one gemv per matrix and norms are taken per trial, so every trial
+gets the bytes of a solve on its own.
 """
 
 from __future__ import annotations
@@ -478,10 +478,10 @@ class _Schedule(NamedTuple):
 _FAST = _Schedule(0.9, 8, 5.0)  # the anchor chain and every random chain
 _SLOW = _Schedule(0.95, 10, 3.0)  # the second chain: same anchor, finer homotopy
 
-# Where the burn-in's lam stops, relative to its start.  No inner call
-# reads the burn-in's x, so a solve reads only the pattern it hands over.  A
-# real noiseless solve with rank(A) < n has settled that pattern by 1e-4;
-# every other solve runs the full seven decades.
+# Where the burn-in's lam stops, relative to its start.  A solve reads
+# only the pattern the burn-in hands over.  A real noiseless solve with
+# rank(A) < n has settled that pattern by 1e-4; every other solve runs the
+# full seven decades.
 _FLOOR = 1e-7
 _SETTLED_FLOOR = 1e-4
 
@@ -506,14 +506,14 @@ def _homotopy_burn_in(
 
     With ``certify`` (every trial then has rank n) a trial stops after the
     first unfrozen level whose pattern u passes ``_direct``'s test on
-    A x = u*y - b, together with that direct solve.  A trial leaves the
-    stack when it stops, when its schedule ends, or before the first step
-    when lam0 = 0 or A = 0.  The rows that stay then move to the front of A
-    in place, so a caller builds A for one call and never reuses it (a stack
-    of one is never moved); b, y_target and u0 are not written.  Each
+    A x = u*y - b.  A trial leaves the stack when it stops, when its
+    schedule ends, or before the first step when lam0 = 0 or A = 0.  The
+    rows that stay then move to the front of A in place, so a caller builds
+    A for one call and never reuses it (a stack of one is never moved); b,
+    y_target and u0 are not written.  Each
     trial's arithmetic is that of a stack of one: products are stacked gemvs
-    (``_mv``), the rest is elementwise or per row.  Returns one (x, u, levels
-    run, the certified ``BpdnResult`` or None) per trial.
+    (``_mv``), the rest is elementwise or per row.  Returns one (u, levels
+    run) per trial.
     """
     T, n = A.shape[0], A.shape[2]
     out = [None] * T
@@ -526,14 +526,13 @@ def _homotopy_burn_in(
     lam_min = floor * lam
     v = _mv(A, x) + b
     trial = np.arange(T)  # the caller's index of each row
-    certified = [None] * T
     leave = (lip == 0.0) | (lam == 0.0)
     level = 0
     while True:
         if leave.any():
             u_end = u if level == 0 else _unit_pattern(v)
             for j in np.flatnonzero(leave):
-                out[trial[j]] = (x[j], u_end[j], level, certified[j])
+                out[trial[j]] = (u_end[j], level)
             keep = ~leave
             if not keep.any():
                 return out
@@ -559,26 +558,21 @@ def _homotopy_burn_in(
         lam = lam * schedule.shrink
         level += 1
         leave = lam <= lam_min
-        certified = [None] * trial.size
         if certify and not frozen:
             u = _unit_pattern(v)
             c = u * y_target - b
-            tests = [_direct(A[j], c[j], svds[t]) for j, t in enumerate(trial)]
-            certified = [res if res.converged else None for res in tests]
-            leave |= np.array([res.converged for res in tests])
+            leave |= np.array([_direct(A[j], c[j], svds[t]).converged for j, t in enumerate(trial)])
 
 
 def _run_restart(A, b, epsilon, opts, burn_in, feas_fn, y_target, svd: _Svd):
     """The alternating constrained iteration from a chain's burn-in, the
-    (x, u, levels, certified) of ``_homotopy_burn_in``; it reads the pattern
-    u, not x.
+    (u, levels) of ``_homotopy_burn_in``.
 
     Each outer step solves its pattern once, with the inner call capped at
     600 (complex ADMM would burn its full budget on a wrong, infeasible
-    pattern).  A burn-in that stopped at a pattern passing the direct test
-    hands over that test's solve as the first outer step's.
+    pattern).
     """
-    _, u, levels, certified = burn_in
+    u, levels = burn_in
     capped = replace(opts, inner_max=min(_OUTER_CAP, opts.inner_max))
     inner_total = 0
     trace = []
@@ -591,10 +585,7 @@ def _run_restart(A, b, epsilon, opts, burn_in, feas_fn, y_target, svd: _Svd):
 
     for _ in range(_OUTER_MAX):
         c = u * y_target - b
-        if certified is None:
-            res = bpdn(A, c, epsilon, capped, svd=svd)
-        else:  # bpdn would return this same direct solve
-            res, certified = certified, None
+        res = bpdn(A, c, epsilon, capped, svd=svd)
         inner_total += res.iterations
         u_new = _unit_pattern(A @ res.x + b)
         x = res.x
@@ -687,11 +678,11 @@ def _restart_chains(A, b, opts):
     """(u0, freeze levels, schedule) of each of ``opts.restarts`` chains:
     bias-anchored fast path, then a slower homotopy from the same anchor,
     then frozen random patterns."""
-    rng = SeedSpec(opts.restart_seed, ("solver", "restarts")).rng()
     anchor = _unit_pattern(b)
-    chains = [(anchor, 0, _FAST)]
-    if opts.restarts >= 2:
-        chains.append((anchor, 0, _SLOW))
+    chains = [(anchor, 0, _FAST), (anchor, 0, _SLOW)][: opts.restarts]
+    if opts.restarts <= 2:  # no random chain, and the generator alone takes ~16 us to build
+        return chains
+    rng = SeedSpec(opts.restart_seed, ("solver", "restarts")).rng()
     for _ in range(opts.restarts - len(chains)):
         if np.iscomplexobj(A):
             chains.append((np.exp(2j * np.pi * rng.random(A.shape[0])), _FREEZE_LEVELS, _FAST))
@@ -791,8 +782,8 @@ def _problem(ensemble, data, epsilon, opts: SolverOptions, field: str) -> _Probl
 @dataclass(frozen=True, eq=False)
 class BurnIn:
     """What ``burn_in_block`` hands one trial's solve: the inputs it checked,
-    their thin SVD, and the (x, u, levels, certified) burn-in of each restart
-    chain sure to run, in chain order."""
+    their thin SVD, and the (u, levels) burn-in of each restart chain sure
+    to run, in chain order."""
 
     problem: _Problem
     opts: SolverOptions
@@ -819,9 +810,9 @@ def burn_in_block(ensembles, datas, epsilon: float, opts: SolverOptions | None =
     solve checks it before any stacked work.  Each trial's thin SVD is
     computed once.  Trials are grouped by ``_chain_rule``, and each group
     runs one stacked ``_homotopy_burn_in`` per restart chain sure to run:
-    only chain 0 where the chain stop can fire, every chain otherwise.  A
-    solve handed its ``BurnIn`` as ``burn_in=`` returns the bytes of a solve
-    without it.
+    only chain 0 where the chain stop can fire, every chain otherwise, and
+    keeps each trial's (u, levels).  A solve handed its ``BurnIn`` as
+    ``burn_in=`` returns the bytes of a solve without it.
     """
     opts = opts or SolverOptions()
     if not ensembles or len(ensembles) != len(datas):

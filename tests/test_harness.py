@@ -246,6 +246,7 @@ def test_complex_config_without_bias_draws_the_complex_gaussian_bias():
     "changes, name",
     [
         ({"output_path": 5}, "output_path"),
+        ({"output_path": "no-such-dir/out.csv"}, "output_path"),
         ({"experiment": "noise_curve"}, "m_list"),
         ({"experiment": "impossibility"}, "m_list"),
         ({"experiment": "srip"}, "m_list"),
@@ -257,6 +258,7 @@ def test_complex_config_without_bias_draws_the_complex_gaussian_bias():
     ],
     ids=[
         "int-output_path",
+        "missing-output_dir",
         "curve-m",
         "impossibility-m",
         "srip-m",
@@ -269,9 +271,10 @@ def test_complex_config_without_bias_draws_the_complex_gaussian_bias():
 )
 def test_config_rejects_bad_output_path_and_second_cell(tmp_path, monkeypatch, changes, name):
     # Each used to load: an int output path failed with a TypeError before
-    # the first cell, a single-cell experiment ran on the first m and k of
-    # longer lists without notice, and an experiment that reads no noise
-    # level ignored its epsilon_list.
+    # the first cell, an output path in a missing directory failed only after
+    # the experiment's work, a single-cell experiment ran on the first m and
+    # k of longer lists without notice, and an experiment that reads no
+    # noise level ignored its epsilon_list.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match=name):
         ExperimentConfig.from_dict({**SMALL_GRID, **changes})

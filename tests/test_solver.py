@@ -183,24 +183,14 @@ def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
     # a pattern solved earlier in its flip descent or the chain's fixed point.
     # No call is solved again, and these sizes never reach a cap.  At m > n
     # with eps = 0 a chain that fits y exactly is the last, and it runs no
-    # probes; a burn-in that stops at a certified pattern hands its direct
-    # solve over as the first outer step's call.
+    # probes.  Every outer step, the first included, is a bpdn call: a burn-in
+    # hands over only its pattern and level count.
     chains = []  # per chain: outer-step right-hand sides, probe right-hand sides, outcome
     sink = []
-    handed = []  # the certified direct solve a burn-in hands to the chain's first step
     real_bpdn, real_restart, real_flip = solver.bpdn, solver._run_restart, solver._flip_descent
-    real_burn_in = solver._homotopy_burn_in
-
-    def burn_in(A, b, y_target, *args):
-        outs = real_burn_in(A, b, y_target, *args)
-        for t, out in enumerate(outs):
-            if out[3] is not None:
-                handed.append((out[1] * y_target[t] - b[t]).tobytes())
-        return outs
 
     def restart(*args, **kwargs):
-        outer, probes = list(handed), []
-        handed.clear()
+        outer, probes = [], []
         sink[:] = [outer]
         out = real_restart(*args, **kwargs)
         chains.append((outer, probes, out))
@@ -217,7 +207,6 @@ def test_real_solve_makes_one_call_per_step(m, epsilon, monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "_run_restart", restart)
-    monkeypatch.setattr(solver, "_homotopy_burn_in", burn_in)
     monkeypatch.setattr(solver, "_flip_descent", flip_descent)
     monkeypatch.setattr(solver, "bpdn", counting_bpdn)
     opts = SolverOptions(restarts=2, restart_seed=3, flip_candidates=6)
@@ -425,13 +414,13 @@ def reference_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, certify,
     Ah = A.conj().T
     lip = float(svd.s[0]) ** 2 if svd.s.size else 0.0
     if lip == 0.0:
-        return np.zeros(n, dtype=A.dtype), u0, 0, None
+        return u0, 0
     step = 1.0 / lip
     x = np.zeros(n, dtype=A.dtype)
     u = u0
     lam = float(np.max(np.abs(Ah @ (u * y_target - b)), initial=0.0))
     if lam == 0.0:
-        return x, u, 0, None
+        return u, 0
     lam_min = floor * lam
     level = 0
     while lam > lam_min:
@@ -446,7 +435,7 @@ def reference_burn_in(A, b, y_target, u0, freeze_levels, schedule, svd, certify,
             x = _soft_threshold(x - step * (Ah @ resid), step * lam)
         lam *= schedule.shrink
         level += 1
-    return x, _unit_pattern(A @ x + b), level, None
+    return _unit_pattern(A @ x + b), level
 
 
 def full_burn_in(*args):
@@ -785,8 +774,8 @@ def _report_bytes(rep):
 
 
 def _burn_in_bytes(burn):
-    x, u, levels, certified = burn
-    return x.tobytes(), u.tobytes(), levels, certified and certified.x.tobytes()
+    u, levels = burn
+    return u.tobytes(), levels
 
 
 @pytest.mark.parametrize("m", [20, 8], ids=["m-above-n", "m-below-n"])
@@ -804,8 +793,8 @@ def test_burn_in_block_keeps_the_solve_bytes(m):
     burns = solver.burn_in_block(ensembles, datas, 0.0, FAST)
     chains = 1 if m > n else FAST.restarts
     assert [len(burn.chains) for burn in burns] == [chains, FAST.restarts] + [chains] * 3
-    assert all(levels == 0 for burn in burns[:2] for _, _, levels, _ in burn.chains)
-    assert all(levels > 0 for burn in burns[2:] for _, _, levels, _ in burn.chains)
+    assert all(levels == 0 for burn in burns[:2] for _, levels in burn.chains)
+    assert all(levels > 0 for burn in burns[2:] for _, levels in burn.chains)
     for ens, data, burn in zip(ensembles, datas, burns):
         A, b = ens.A, ens.b
         unique, floor = solver._chain_rule(A, 0.0, burn.svd)
