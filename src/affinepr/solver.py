@@ -25,8 +25,10 @@ The outer loops exploit the identity
     ||diag(s)(A x + b) - y||_2 = ||A x - (s*y - b)||_2
 
 for any unit-modulus s, so each outer step is one convex BPDN solve: one
-``bpdn`` call per pattern, capped at 600 inner steps (300 for a flip probe),
-and a pure function of (D, c, eps, cap).
+``bpdn`` call per pattern, capped at 600 inner steps (300 for a flip probe).
+An outer step is a pure function of (D, c, eps, cap).  A flip probe also
+depends on its bound, the chain's key: its lasso path stops once it is
+proved unable to beat the key (``_flip_descent``).
 
 A plain alternation traps immediately in the underdetermined regime: with
 eps = 0 and m < n every sign pattern admits an exact interpolator, so every
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -112,6 +115,8 @@ class BpdnResult:
     x: np.ndarray
     iterations: int
     converged: bool
+    # The lasso path proved that its optimum exceeds the call's ``bound``.
+    abandoned: bool = False
 
     @property
     def objective(self) -> float:
@@ -195,7 +200,9 @@ def _certified(x: np.ndarray, cert: np.ndarray) -> bool:
     )
 
 
-def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
+def _bp_homotopy(
+    R, w, target: float, cap: int, bound: float = math.inf
+) -> tuple[np.ndarray, int, bool, bool]:
     """A certified point of the real lasso path, for R with r <= n rows of full row rank.
 
     Follows the path of 0.5 ||R x - w||^2 + lam ||x||_1 down from
@@ -215,19 +222,32 @@ def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
     Friedlander, SIAM J. Sci. Comput. 2008).  Either way g / lam at the end
     is R^T nu for a dual vector nu, and the result is certified when that
     passes ``_certified``.  The path always starts from x = 0, so equal
-    inputs give equal bytes.  Returns (x, path steps, certified); a path cut
-    at ``cap`` steps is not certified.
+    inputs give equal bytes.
+
+    ``bound`` stops the path once its optimum is proved to exceed it.  With
+    r = w - R x the path keeps |R^T r| = |g| <= lam, so nu = r / lam is dual
+    feasible, and as x^T g = lam ||x||_1 its dual value
+
+        w^T nu - sqrt(target) ||nu|| = ||x_S||_1 + ||r|| (||r|| - sqrt(target)) / lam
+
+    is a lower bound on the optimum, never below ||x_S||_1.  The path tracks
+    ||r||^2, so the test after each breakpoint costs O(k); a path whose dual
+    value, or whose end, passes ``bound`` is abandoned there.  A path that is
+    not abandoned has the bytes and steps it has without a bound.  Returns
+    (x, path steps, certified, abandoned); a path cut at ``cap`` steps is not
+    certified.
     """
     r, n = R.shape
     P = R.T @ R
     xdag = R.T @ w
     res2 = float(w @ w)
+    root = math.sqrt(target)
 
     x = np.zeros(n)
     j = int(np.argmax(np.abs(xdag)))
     lam = float(abs(xdag[j]))
     if lam == 0.0:
-        return x, 0, True
+        return x, 0, True, False
     # The active set: indices, signs and coefficients, rows P[act] and the
     # inverse of P[act][:, act], all in the first k slots.
     act = np.empty(r, dtype=np.intp)
@@ -246,7 +266,7 @@ def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
     while True:
         if steps >= cap:
             x[act[:k]] = xs[:k]
-            return x, steps, False
+            return x, steps, False, False
         steps += 1
         d = Gi[:k, :k] @ z[:k]
         # Events that tie with the end of the path (they do whenever the
@@ -268,8 +288,8 @@ def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
             q = t_enter.argmin()
             if t_enter[q] < t:
                 t, event = max(float(t_enter[q]), 0.0), "enter"
+        zd = float(z[:k] @ d)
         if target > 0.0:
-            zd = float(z[:k] @ d)
             drop = max(res2 - target, 0.0)
             # The residual at lam = 0 is 0, so the last segment always stops.
             if event is None or zd * t * (2.0 * lam - t) >= drop:
@@ -277,15 +297,21 @@ def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
                 xs[:k] += tau * d
                 lam -= tau
                 x[act[:k]] = xs[:k]
-                return x, steps, _certified(x, (xdag - xs[:k] @ PS[:k]) / lam)
-            res2 -= zd * t * (2.0 * lam - t)
+                cert = (xdag - xs[:k] @ PS[:k]) / lam
+                return x, steps, _certified(x, cert), float(z[:k] @ xs[:k]) > bound
         if event is None:
             break
+        res2 -= zd * t * (2.0 * lam - t)
         if held >= 0:
             closed[held] = False
             held = -1
         xs[:k] += t * d
         lam -= t
+        if bound < math.inf:
+            rn = math.sqrt(max(res2, 0.0))
+            if float(z[:k] @ xs[:k]) + rn * (rn - root) / lam > bound:
+                x[act[:k]] = xs[:k]
+                return x, steps, False, True
         g = xdag - xs[:k] @ PS[:k]
         if event == "exit":
             last = k - 1
@@ -321,7 +347,7 @@ def _bp_homotopy(R, w, target: float, cap: int) -> tuple[np.ndarray, int, bool]:
     xs = Gi[:k, :k] @ xdag[act[:k]]
     xs[np.sign(xs) != z[:k]] = 0.0
     x[act[:k]] = xs
-    return x, steps, _certified(x, cert)
+    return x, steps, _certified(x, cert), float(z[:k] @ xs) > bound
 
 
 def _mv(M, v):
@@ -338,7 +364,8 @@ def _direct(D, c, svd: _Svd) -> BpdnResult:
 
 
 def bpdn(
-    D, c, epsilon: float, opts: SolverOptions | None = None, *, svd: _Svd | None = None
+    D, c, epsilon: float, opts: SolverOptions | None = None, *, svd: _Svd | None = None,
+    bound: float = math.inf,
 ) -> BpdnResult:
     """Minimizer of min ||x||_1 s.t. ||D x - c||_2 <= epsilon, with a convergence flag.
 
@@ -353,20 +380,28 @@ def bpdn(
       With epsilon > 0 it runs on the rows S V^H against U^H c and stops at
       residual epsilon; a projection residual ||c - U U^H c|| of at least
       epsilon is an exact "infeasible" verdict: D^+ c after 0 steps.
+      A path whose optimum is proved above ``bound`` stops early, abandoned
+      and not converged.
     * complex D otherwise: ADMM from x = 0 on D's own rows, capped at
       ``opts.inner_max`` iterations, with tolerance ``opts.inner_tol``.
 
-    Every path starts from nothing, so equal inputs give equal bytes.  On
-    nonunique optima any minimizer may be returned, so callers should
-    contract on the objective value rather than the witness.  ``svd`` is D's
-    ``_thin_svd``, passed by callers that reuse one D.
+    Every path starts from nothing, so equal inputs give equal bytes, and a
+    call that is not abandoned returns the bytes it returns without
+    ``bound``; the direct path and ADMM ignore it.  On nonunique optima any
+    minimizer may be returned, so callers should contract on the objective
+    value rather than the witness.  ``svd`` is D's ``_thin_svd``; only the
+    solver passes it, on inputs its entry points have checked, so a call with
+    ``svd`` skips the checks of D and c.
     """
     opts = opts or SolverOptions()
     epsilon = _real("epsilon", epsilon)
-    D = _checked("D", D, (None, None))
-    c = _checked("c", c, (D.shape[0],))
-    if np.iscomplexobj(c) and not np.iscomplexobj(D):
-        raise ValueError("field mismatch between D and c")
+    if svd is None:
+        D = _checked("D", D, (None, None))
+        c = _checked("c", c, (D.shape[0],))
+        if np.iscomplexobj(c) and not np.iscomplexobj(D):
+            raise ValueError("field mismatch between D and c")
+        if not bound >= 0.0:
+            raise ValueError(f"bound must be a number >= 0, got {bound!r}")
     m, n = D.shape
     cnorm = float(np.linalg.norm(c))
     if epsilon >= cnorm:
@@ -380,12 +415,15 @@ def bpdn(
     if not np.iscomplexobj(D):
         proj = U.T @ c
         if epsilon == 0.0:
-            x, steps, certified = _bp_homotopy(Vh, proj / s, 0.0, opts.inner_max)
+            R, w, target = Vh, proj / s, 0.0
         else:
             target = epsilon**2 - float(np.linalg.norm(c - U @ proj)) ** 2
             if target <= 0.0:
                 return BpdnResult(Vh.T @ (proj / s), 0, False)
-            x, steps, certified = _bp_homotopy(s[:, None] * Vh, proj, target, opts.inner_max)
+            R, w = s[:, None] * Vh, proj
+        x, steps, certified, abandoned = _bp_homotopy(R, w, target, opts.inner_max, bound)
+        if abandoned:
+            return BpdnResult(x, steps, False, True)
         primal = float(np.linalg.norm(D @ x - c))
         return BpdnResult(x, steps, certified and primal <= epsilon + _FIT_TOL * (1.0 + cnorm))
     # (I + D^H D)^-1 = I - V diag(s^2 / (1 + s^2)) V^H
@@ -573,7 +611,7 @@ def _run_restart(A, b, epsilon, opts, burn_in, feas_fn, y_target, svd: _Svd):
     pattern).
     """
     u, levels = burn_in
-    capped = replace(opts, inner_max=min(_OUTER_CAP, opts.inner_max))
+    capped = _capped(opts, _OUTER_CAP)
     inner_total = 0
     trace = []
     termination = "max_outer"
@@ -611,6 +649,13 @@ def _run_restart(A, b, epsilon, opts, burn_in, feas_fn, y_target, svd: _Svd):
     return _RestartOutcome(x, inner_total, termination, trace, levels)
 
 
+@lru_cache(maxsize=16)
+def _capped(opts: SolverOptions, cap: int) -> SolverOptions:
+    """``opts`` with ``inner_max`` at most ``cap``, built once per (opts, cap):
+    ``replace`` re-runs every field check of ``SolverOptions``."""
+    return replace(opts, inner_max=min(cap, opts.inner_max))
+
+
 def _violation(feas: float, epsilon: float, scale: float) -> float:
     # Residuals inside the inner solver's feasibility collar count as zero,
     # otherwise an iterate converged to tolerance loses to an exactly
@@ -627,11 +672,14 @@ def _flip_descent(
     steps, and wins only if it lowers the (violation, objective) key.  A
     probe of a pattern already solved here (or the chain's own fixed point)
     is skipped but counts against the budget: the key only falls, so it
-    cannot win.
+    cannot win.  While the key's violation is 0, a probe passes ``bpdn`` the
+    ``bound`` objective (1 + 1e-6), so its call also depends on the key: its
+    path stops once it is proved to lose, and an abandoned probe counts its
+    steps but is not compared.
     """
     if opts.flip_candidates == 0:
         return outcome
-    probe_opts = replace(opts, inner_max=min(_PROBE_CAP, opts.inner_max))
+    probe_opts = _capped(opts, _PROBE_CAP)
     x = outcome.xhat
     key = (_violation(outcome.feasibility, epsilon, scale), outcome.objective)
     v = A @ x + b
@@ -654,8 +702,11 @@ def _flip_descent(
             continue
         solved.add(s_try.tobytes())
         c = s_try * y_target - b
-        res = bpdn(A, c, epsilon, probe_opts, svd=svd)
+        bound = key[1] * (1.0 + 1e-6) if key[0] == 0.0 else math.inf
+        res = bpdn(A, c, epsilon, probe_opts, svd=svd, bound=bound)
         inner += res.iterations
+        if res.abandoned:
+            continue
         feas = feas_fn(res.x)
         cand_key = (_violation(feas, epsilon, scale), res.objective)
         if cand_key < key:

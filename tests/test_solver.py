@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinepr import (
     MeasurementEnsemble,
@@ -53,6 +57,9 @@ def test_bpdn_rejects_bad_inputs():
         bpdn(np.eye(2), np.zeros(2), -0.1)
     with pytest.raises(ValueError):
         bpdn(np.eye(2), np.zeros(2, dtype=complex) + 1j, 0.0)
+    for bound in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="^bound"):
+            bpdn(np.eye(2), np.ones(2), 0.0, bound=bound)
 
 
 def test_bpdn_feasibility_contract():
@@ -234,6 +241,92 @@ def test_lasso_path_stops_at_its_cap():
     assert (res.iterations, res.converged) == (1, False)
 
 
+def _path_problem(seed, noisy):
+    """Random real R with r < n rows and w; orthonormal rows and target 0 as
+    ``bpdn`` passes them at epsilon = 0, Gaussian rows and a target in
+    (0, ||w||^2) at epsilon > 0."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(3, 30))
+    n = int(rng.integers(r + 1, 64))
+    R = rng.standard_normal((r, n))
+    w = rng.standard_normal(r)
+    if noisy:
+        return R, w, float(rng.uniform(0.05, 0.8)) * float(w @ w)
+    return np.linalg.qr(R.T)[0].T, w, 0.0
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["eps-0", "target"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lasso_path_bound_abandons_only_a_path_above_it(noisy, seed):
+    # The dual value at a breakpoint never exceeds the optimum, so a bound at
+    # or above it changes nothing; at 0.99 of it the path is abandoned, and
+    # never after more steps than the whole path takes.
+    R, w, target = _path_problem(seed, noisy)
+    x, steps, certified, abandoned = solver._bp_homotopy(R, w, target, 10_000)
+    assert not abandoned
+    optimum = float(np.sum(np.abs(x)))
+    for bound in (math.inf, optimum * (1.0 + 1e-6)):
+        got = solver._bp_homotopy(R, w, target, 10_000, bound)
+        assert got[0].tobytes() == x.tobytes()
+        assert got[1:] == (steps, certified, False)
+    x_a, steps_a, _, abandoned_a = solver._bp_homotopy(R, w, target, 10_000, 0.99 * optimum)
+    assert abandoned_a and steps_a <= steps
+    assert float(np.sum(np.abs(x_a))) <= optimum * (1.0 + 1e-9)
+
+
+def test_bpdn_abandoned_call_is_not_converged():
+    # An abandoned call is labelled as such, not converged and not capped.
+    rng = np.random.default_rng(99)
+    D = rng.standard_normal((30, 64))
+    for epsilon in (0.0, 0.5):
+        c = rng.standard_normal(30)
+        full = bpdn(D, c, epsilon)
+        assert full.converged and not full.abandoned
+        res = bpdn(D, c, epsilon, bound=0.5 * full.objective)
+        assert (res.converged, res.abandoned) == (False, True)
+        assert 0 < res.iterations < full.iterations
+        kept = bpdn(D, c, epsilon, bound=full.objective * (1.0 + 1e-6))
+        assert kept.x.tobytes() == full.x.tobytes()
+        assert (kept.iterations, kept.converged, kept.abandoned) == (full.iterations, True, False)
+
+
+@pytest.mark.parametrize(
+    "m, epsilon", [(40, 0.0), (40, 0.05)], ids=["criterion-2-m40", "noisy-m40"]
+)
+def test_probe_bound_keeps_the_solve_bytes(m, epsilon, monkeypatch):
+    # Flip probes abandoned on the chain's key change no result: the same
+    # solve with every bound forced to inf returns the same report, after
+    # at least as many inner steps.
+    opts = SolverOptions(restarts=2, restart_seed=1)
+    real_bpdn = solver.bpdn
+    abandoned = []
+
+    def recording(D, c, eps, opts, **kwargs):
+        res = real_bpdn(D, c, eps, opts, **kwargs)
+        if res.abandoned:
+            assert res.iterations < opts.inner_max
+            abandoned.append(res)
+        return res
+
+    def unbounded(D, c, eps, opts, **kwargs):
+        return real_bpdn(D, c, eps, opts, **{**kwargs, "bound": math.inf})
+
+    for t in range(4):
+        inst = make_instance("real", 64, 3, m, SeedSpec(20240817, (m, t)), epsilon=epsilon, bias=1.0)
+        monkeypatch.setattr(solver, "bpdn", recording)
+        rep = solve_affine_pr_real(inst.ensemble, inst.y, epsilon, opts)
+        monkeypatch.setattr(solver, "bpdn", unbounded)
+        ref = solve_affine_pr_real(inst.ensemble, inst.y, epsilon, opts)
+        assert rep.xhat.tobytes() == ref.xhat.tobytes()
+        assert rep.trace == ref.trace
+        assert rep.termination == ref.termination
+        assert rep.restart_index_of_best == ref.restart_index_of_best
+        assert rep.burn_in_levels == ref.burn_in_levels
+        assert rep.inner_iters_total <= ref.inner_iters_total
+    assert abandoned
+
+
 def _recording_bpdn(monkeypatch, calls, probe_capped=False):
     """Patch solver.bpdn to append (right-hand side bytes, cap, result) of each
     call to ``calls``; with ``probe_capped`` a flip probe reports itself cut
@@ -357,6 +450,17 @@ def test_bpdn_rejects_non_finite_inputs():
         bpdn(D, np.array([1.0, np.inf, 0.0]), 0.0)
     with pytest.raises(ValueError, match="epsilon"):
         bpdn(D, c, float("nan"))
+    # Only the solver passes svd= and skips the checks; a public call runs
+    # them whichever path its shape and epsilon pick: direct, the lasso path
+    # or the noisy lasso path.
+    rng = np.random.default_rng(17)
+    for m, epsilon in ((12, 0.0), (6, 0.0), (6, 0.1)):
+        D = rng.standard_normal((m, 8))
+        c = rng.standard_normal(m)
+        with pytest.raises(ValueError, match="^D has"):
+            bpdn(np.where(D == D[1, 2], np.nan, D), c, epsilon)
+        with pytest.raises(ValueError, match="^c has"):
+            bpdn(D, np.where(c == c[3], np.nan, c), epsilon)
 
 
 def test_solvers_reject_non_finite_inputs():
